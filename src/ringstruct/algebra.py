@@ -9,11 +9,20 @@ presentation a direct sum of one block per label.
 
 Associativity and the cross-label rule are validated at construction time;
 invalid tables are rejected with the offending triple.
+
+Alongside the ``Fraction`` table the constructor keeps one integer table
+with the same sparse layout, ``constants = integer_table / D``, where ``D``
+is the lcm of all constant denominators.  The associativity check and
+:meth:`AlgebraPresentation.multiply_coords` run on it: integer sums need no
+gcd per operation, and both sides of ``(e_i e_j) e_k = e_i (e_j e_k)``
+carry the same factor ``D^2``, so comparing the integer sums is exact.
+Products build each output ``Fraction`` once, over the common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -29,7 +38,9 @@ from .linalg import (
     RatMatrix,
     Subspace,
     is_zero_vec,
+    kernel,
     rat,
+    solve,
     unit_vec,
     vec,
     vec_add,
@@ -39,6 +50,7 @@ from .linalg import (
 )
 
 SparseVec = Tuple[Tuple[int, Fraction], ...]
+IntSparseVec = Tuple[Tuple[int, int], ...]
 
 
 def _to_sparse(dense: Sequence) -> SparseVec:
@@ -85,6 +97,11 @@ class AlgebraPresentation:
             if sparse:
                 table[(i, j)] = sparse
         self._table = table
+        self._denominator = lcm(*(c.denominator for sparse in table.values() for _, c in sparse))
+        self._int_table: Dict[Tuple[int, int], IntSparseVec] = {
+            pair: tuple((k, c.numerator * (self._denominator // c.denominator)) for k, c in sparse)
+            for pair, sparse in table.items()
+        }
         if _validate:
             self._validate()
 
@@ -118,22 +135,24 @@ class AlgebraPresentation:
                     )
 
     def _check_associativity(self):
-        n = self.dim
+        n, table = self.dim, self._int_table
         for i in range(n):
             for j in range(n):
-                left = self._table.get((i, j), ())
+                left = table.get((i, j), ())
                 for k in range(n):
-                    lhs: Dict[int, Fraction] = {}
+                    lhs: Dict[int, int] = {}
                     for m, c in left:
-                        for t, d in self._table.get((m, k), ()):
-                            lhs[t] = lhs.get(t, ZERO) + c * d
-                    rhs: Dict[int, Fraction] = {}
-                    for m, c in self._table.get((j, k), ()):
-                        for t, d in self._table.get((i, m), ()):
-                            rhs[t] = rhs.get(t, ZERO) + c * d
-                    for t in set(lhs) | set(rhs):
-                        if lhs.get(t, ZERO) != rhs.get(t, ZERO):
-                            raise AssociativityError((i, j, k))
+                        for t, d in table.get((m, k), ()):
+                            lhs[t] = lhs.get(t, 0) + c * d
+                    rhs: Dict[int, int] = {}
+                    for m, c in table.get((j, k), ()):
+                        for t, d in table.get((i, m), ()):
+                            rhs[t] = rhs.get(t, 0) + c * d
+                    # a sum that cancels to 0 may be stored on one side only
+                    if lhs != rhs and any(
+                        lhs.get(t, 0) != rhs.get(t, 0) for t in set(lhs) | set(rhs)
+                    ):
+                        raise AssociativityError((i, j, k))
 
     # -- basic structure ------------------------------------------------
 
@@ -144,18 +163,24 @@ class AlgebraPresentation:
         return dict(self._table)
 
     def multiply_coords(self, x: Sequence, y: Sequence) -> tuple:
-        out = [ZERO] * self.dim
-        xs = [(i, c) for i, c in enumerate(x) if c != 0]
-        ys = [(j, c) for j, c in enumerate(y) if c != 0]
-        for i, a in xs:
-            for j, b in ys:
-                sparse = self._table.get((i, j))
-                if not sparse:
-                    continue
-                ab = a * b
-                for k, c in sparse:
-                    out[k] += ab * c
-        return tuple(out)
+        # ``if c``, not ``c != 0``: Fraction.__eq__ costs twice Fraction.__bool__
+        xs = [(i, c) for i, c in enumerate(x) if c]
+        ys = [(j, c) for j, c in enumerate(y) if c]
+        table = self._int_table
+        hits = [(a, b, sparse) for i, a in xs for j, b in ys if (sparse := table.get((i, j)))]
+        if not hits:
+            return (ZERO,) * self.dim
+        # x = xi / dx and y = yi / dy with integer xi, yi, so that
+        # x*y = (sum xi_i yi_j C_ij) / (dx dy D): one Fraction per output.
+        dx = lcm(*[a.denominator for _, a in xs])
+        dy = lcm(*[b.denominator for _, b in ys])
+        out = [0] * self.dim
+        for a, b, sparse in hits:
+            ab = a.numerator * (dx // a.denominator) * b.numerator * (dy // b.denominator)
+            for k, c in sparse:
+                out[k] += ab * c
+        den = dx * dy * self._denominator
+        return tuple(Fraction(v, den) if v else ZERO for v in out)
 
     def element(self, coords: Sequence) -> "Element":
         coords = vec(coords)
@@ -411,10 +436,8 @@ def annihilators(elements: Sequence[Element]):
         lx = alg.left_mult_matrix(x.coords)  # a -> x*a
         left_rows.extend(rx.row_list())
         right_rows.extend(lx.row_list())
-    from .linalg import kernel as _kernel
-
-    ann1 = _kernel(RatMatrix.from_rows(left_rows)) if left_rows else Subspace.full(n)
-    ann2 = _kernel(RatMatrix.from_rows(right_rows)) if right_rows else Subspace.full(n)
+    ann1 = kernel(RatMatrix.from_rows(left_rows)) if left_rows else Subspace.full(n)
+    ann2 = kernel(RatMatrix.from_rows(right_rows)) if right_rows else Subspace.full(n)
     both = ann1.intersect(ann2)
     spans_all = Subspace(n, [e.coords for e in elements]).dim == n
     return (
@@ -445,9 +468,7 @@ def center(alg: AlgebraPresentation) -> IdealSpace:
             for j in range(n)
         ]
         rows.extend([[diff_cols[j][k] for j in range(n)] for k in range(n)])
-    from .linalg import kernel as _kernel
-
-    space = _kernel(RatMatrix.from_rows(rows)) if rows else Subspace.zero(0)
+    space = kernel(RatMatrix.from_rows(rows)) if rows else Subspace.zero(0)
     return IdealSpace(alg, space, "subring-only")
 
 
@@ -463,9 +484,7 @@ def centralizer(a: Element) -> IdealSpace:
         for j in range(n)
     ]
     rows = [[diff_cols[j][k] for j in range(n)] for k in range(n)]
-    from .linalg import kernel as _kernel
-
-    return IdealSpace(alg, _kernel(RatMatrix.from_rows(rows)), "subring-only")
+    return IdealSpace(alg, kernel(RatMatrix.from_rows(rows)), "subring-only")
 
 
 def generated_subring(elements: Sequence[Element]) -> IdealSpace:
@@ -552,9 +571,7 @@ def find_unity(alg: AlgebraPresentation) -> Optional[Element]:
         rhs.extend(e)
         rows.extend(left.row_list())
         rhs.extend(e)
-    from .linalg import solve as _solve
-
-    sol = _solve(RatMatrix.from_rows(rows), rhs)
+    sol = solve(RatMatrix.from_rows(rows), rhs)
     return alg.element(sol) if sol is not None else None
 
 
@@ -586,17 +603,15 @@ def classify_element(a: Element) -> ElementClassification:
     alg = a.algebra
     if a.is_zero():
         return ElementClassification(ElementClassification.ZERO)
-    from .linalg import kernel as _kernel, solve as _solve
-
     left = alg.left_mult_matrix(a.coords)
-    ker_left = _kernel(left)
+    ker_left = kernel(left)
     if not ker_left.is_zero():
         return ElementClassification(
             ElementClassification.ZERO_DIVISOR,
             witness=alg.element(ker_left.basis.row(0)),
         )
     right = alg.right_mult_matrix(a.coords)
-    ker_right = _kernel(right)
+    ker_right = kernel(right)
     if not ker_right.is_zero():
         return ElementClassification(
             ElementClassification.ZERO_DIVISOR,
@@ -607,7 +622,7 @@ def classify_element(a: Element) -> ElementClassification:
         raise InternalInvariantError(
             "both multiplication operators invertible but no unity exists"
         )
-    inv = _solve(left, unity.coords)
+    inv = solve(left, unity.coords)
     if inv is None:
         raise InternalInvariantError("invertible left multiplication failed to solve")
     candidate = alg.element(inv)

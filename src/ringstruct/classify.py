@@ -40,7 +40,9 @@ from .linalg import (
     RatMatrix,
     Subspace,
     is_zero_vec,
+    kernel,
     rat,
+    solve,
     unit_vec,
     vec_add,
     vec_scale,
@@ -201,8 +203,6 @@ def minimal_polynomial(alg: AlgebraPresentation, x: Element, unity: Element) -> 
             mat = RatMatrix.from_rows(
                 [[powers[i][c] for i in range(len(powers) - 1)] for c in range(n)]
             )
-            from .linalg import solve
-
             sol = solve(mat, powers[-1])
             if sol is None:
                 raise InternalInvariantError("minimal polynomial solve failed")
@@ -554,8 +554,6 @@ def frobenius_type(division: AlgebraPresentation) -> str:
         t = division.element(t_rows[0])
         sq = t * t
         mat = RatMatrix.from_rows([[unity.coords[c], t.coords[c]] for c in range(2)])
-        from .linalg import solve
-
         sol = solve(mat, sq.coords)
         if sol is None:
             raise InternalInvariantError("2-dim corner power not in its own span")
@@ -565,8 +563,6 @@ def frobenius_type(division: AlgebraPresentation) -> str:
         taus = [
             sum(division.basis_product(i, j)[j] for j in range(4)) for i in range(4)
         ]
-        from .linalg import kernel
-
         trace_zero = kernel(RatMatrix.from_rows([taus]))
         if trace_zero.dim != 3:
             return UNRECOGNIZED

@@ -11,7 +11,8 @@ Subcommands::
     corpus-run DIR       run the default report on every document in a directory
 
 Exit codes: 0 success, 1 validation/load failure, 2 internal invariant
-violation.
+violation.  ``corpus-run`` reports every document and then exits with the
+gravest code seen: 2 over 1 over 0.
 """
 
 from __future__ import annotations
@@ -78,18 +79,21 @@ def main(argv=None) -> int:
             paths = sorted(p for p in directory.iterdir() if p.is_file())
             if not paths:
                 raise RingstructError(f"no documents in {directory}")
-            failures = 0
+            failures = internal = 0
             for path in paths:
                 try:
                     doc = load_path(path)
                     report = run_report(doc, _default_command(doc.kind))
                     sys.stdout.write(f"== {path.name}\n")
                     sys.stdout.write(render(report, args.format))
-                except InternalInvariantError:
-                    raise
+                except InternalInvariantError as exc:
+                    internal += 1
+                    sys.stdout.write(f"== {path.name}\ninternal invariant violated: {exc}\n")
                 except RingstructError as exc:
                     failures += 1
                     sys.stdout.write(f"== {path.name}\nerror: {exc}\n")
+            if internal:
+                return EXIT_INTERNAL
             return EXIT_VALIDATION if failures else EXIT_OK
         doc = load_path(args.file)
         report = run_report(doc, args.command)

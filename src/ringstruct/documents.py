@@ -21,13 +21,14 @@ Example::
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraPresentation
 from .errors import DocumentError
 from .finite import FiniteRing
-from .linalg import ZERO, format_rat, parse_rat
+from .linalg import INT_PATTERN, MAX_DIGITS, ZERO, format_rat, parse_rat
 from .mixed import MixedRing
 
 FORMAT_VERSION = 1
@@ -35,6 +36,9 @@ FORMAT_VERSION = 1
 KIND_ALGEBRA = "algebra"
 KIND_FINITE = "finite_ring"
 KIND_MIXED = "mixed"
+
+_INT_FIELD = re.compile(INT_PATTERN)
+_INT_ROW = re.compile(rf"\s*{INT_PATTERN}(?:\s+{INT_PATTERN})*\s*")
 
 
 class AlgebraDocument:
@@ -197,9 +201,25 @@ class _Cursor:
         return line[len(key) + 1 :]
 
 
+def _int(text: str, what: str) -> int:
+    if _INT_FIELD.fullmatch(text) is None:
+        raise DocumentError(
+            f"{what} must be an integer of at most {MAX_DIGITS} digits, got {text[:40]!r}"
+        )
+    return int(text)
+
+
+def _int_row(line: str) -> tuple:
+    if _INT_ROW.fullmatch(line) is None:
+        raise DocumentError(
+            f"table row must be integers of at most {MAX_DIGITS} digits: {line[:40]!r}"
+        )
+    return tuple(map(int, line.split()))
+
+
 def parse(text: str) -> AlgebraDocument:
     cur = _Cursor(text)
-    version = int(cur.expect_key("format"))
+    version = _int(cur.expect_key("format"), "format version")
     if version != FORMAT_VERSION:
         raise DocumentError(f"unsupported format version {version}")
     kind = cur.expect_key("kind")
@@ -213,7 +233,7 @@ def parse(text: str) -> AlgebraDocument:
         finite = _parse_finite_body(cur)
         cur.expect_key("algebra")
         algebra = _parse_algebra_body(cur)
-        rank = int(cur.expect_key("torsion_rank"))
+        rank = _int(cur.expect_key("torsion_rank"), "torsion_rank")
         cur.expect_key("cross")
         rows = []
         while True:
@@ -226,7 +246,11 @@ def parse(text: str) -> AlgebraDocument:
             if len(parts) != 2 + rank:
                 raise DocumentError(f"cross line needs 2 indices and {rank} rationals: {line!r}")
             rows.append(
-                (int(parts[0]), int(parts[1]), tuple(parse_rat(p) for p in parts[2:]))
+                (
+                    _int(parts[0], "cross index"),
+                    _int(parts[1], "cross index"),
+                    tuple(parse_rat(p) for p in parts[2:]),
+                )
             )
         payload = {
             "finite": finite,
@@ -241,7 +265,7 @@ def parse(text: str) -> AlgebraDocument:
 
 
 def _parse_algebra_body(cur: _Cursor) -> dict:
-    dim = int(cur.expect_key("dim"))
+    dim = _int(cur.expect_key("dim"), "dim")
     labels_line = cur.expect_key("labels")
     labels = tuple(labels_line.split()) if labels_line else ()
     if len(labels) != dim:
@@ -263,7 +287,7 @@ def _parse_algebra_body(cur: _Cursor) -> dict:
         parts = cur.take().split()
         if len(parts) != 4:
             raise DocumentError(f"constant line must be 'i j k p/q': {line!r}")
-        i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
+        i, j, k = (_int(p, "constant index") for p in parts[:3])
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise DocumentError(f"constant indices out of range: {line!r}")
         triples.append((i, j, k, parse_rat(parts[3])))
@@ -272,12 +296,12 @@ def _parse_algebra_body(cur: _Cursor) -> dict:
 
 
 def _parse_finite_body(cur: _Cursor) -> dict:
-    order = int(cur.expect_key("order"))
-    zero = int(cur.expect_key("zero"))
+    order = _int(cur.expect_key("order"), "order")
+    zero = _int(cur.expect_key("zero"), "zero")
     cur.expect_key("add")
-    add = tuple(tuple(int(x) for x in cur.take().split()) for _ in range(order))
+    add = tuple(_int_row(cur.take()) for _ in range(order))
     cur.expect_key("mul")
-    mul = tuple(tuple(int(x) for x in cur.take().split()) for _ in range(order))
+    mul = tuple(_int_row(cur.take()) for _ in range(order))
     for row in add + mul:
         if len(row) != order:
             raise DocumentError("table row has wrong width")

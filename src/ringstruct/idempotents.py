@@ -25,7 +25,7 @@ from .errors import (
     NotIdempotent,
     NotMinimal,
 )
-from .linalg import RatMatrix, Subspace, is_zero_vec, unit_vec, zero_vec
+from .linalg import RatMatrix, Subspace, is_zero_vec, kernel, solve, unit_vec, zero_vec
 from .radical import is_nilpotent, quotient_algebra
 
 
@@ -128,8 +128,6 @@ def _find_idempotent_nonnil(alg: AlgebraPresentation) -> Element:
 
 def _left_annihilated_by(alg: AlgebraPresentation, space: Subspace) -> Subspace:
     """{x : v x = 0 for every v in the subspace}."""
-    from .linalg import kernel
-
     rows = []
     n = alg.dim
     for v in space.basis_rows():
@@ -274,8 +272,6 @@ def brauer_idempotent(alg: AlgebraPresentation, ideal: IdealSpace):
         )
         cols.append(prod)
     system = RatMatrix.from_rows([[cols[j][k] for j in range(len(rows))] for k in range(n)])
-    from .linalg import solve
-
     sol = solve(system, anchor)
     if sol is None:
         raise InternalInvariantError("Brauer solve failed on a certified minimal ideal")

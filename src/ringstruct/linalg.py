@@ -9,10 +9,11 @@ equality.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, DocumentError
 
 Rat = Fraction
 
@@ -35,8 +36,25 @@ def format_rat(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# Digits allowed in one integer, numerator or denominator of a document; far
+# above anything the generators emit, and it bounds the size of a parsed table.
+MAX_DIGITS = 1000
+INT_PATTERN = rf"-?[0-9]{{1,{MAX_DIGITS}}}"
+_RAT = re.compile(rf"({INT_PATTERN})(?:/([0-9]{{1,{MAX_DIGITS}}}))?")
+
+
 def parse_rat(text: str) -> Fraction:
-    return Fraction(text)
+    """Parse exactly ``p`` or ``p/q`` with q nonzero; raise ``DocumentError``."""
+    match = _RAT.fullmatch(text)
+    if match is None:
+        raise DocumentError(
+            f"expected a rational p or p/q of at most {MAX_DIGITS} digits each, got {text[:40]!r}"
+        )
+    num, den = match.groups()
+    den = int(den or 1)
+    if den == 0:
+        raise DocumentError(f"zero denominator in {text[:40]!r}")
+    return Fraction(int(num), den)
 
 
 def vec(values: Iterable) -> tuple:

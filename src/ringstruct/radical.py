@@ -33,6 +33,7 @@ from .linalg import (
     Subspace,
     is_zero_vec,
     kernel,
+    solve,
     unit_vec,
     zero_vec,
 )
@@ -344,9 +345,7 @@ def _wedderburn_complement(alg: AlgebraPresentation, V: Subspace, N: Subspace) -
 def _coords_over(rows: List[tuple], target, n: int) -> tuple:
     """Coordinates of target over the (independent) row list, exact solve."""
     mat = RatMatrix.from_rows([[rows[i][c] for i in range(len(rows))] for c in range(n)])
-    from .linalg import solve as _solve
-
-    sol = _solve(mat, target)
+    sol = solve(mat, target)
     if sol is None:
         raise InternalInvariantError("vector not in span during complement construction")
     return sol
@@ -395,9 +394,7 @@ def _solve_correction(alg, sigma, nbasis, struct, defect, N2: Subspace):
     if not rows:
         tau = [zero_vec(n)] * d_b
         return tau
-    from .linalg import solve as _solve
-
-    sol = _solve(RatMatrix.from_rows(rows), rhs)
+    sol = solve(RatMatrix.from_rows(rows), rhs)
     if sol is None:
         raise InternalInvariantError("complement correction system is inconsistent")
     tau_rows = []

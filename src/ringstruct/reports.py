@@ -224,10 +224,6 @@ def _finite_oracle(ring: FiniteRing) -> dict:
     return body
 
 
-def _finite_classify(ring: FiniteRing) -> dict:
-    return _finite_oracle(ring)
-
-
 def _finite_radical(ring: FiniteRing) -> dict:
     j = jacobson_definitional(ring)
     return {
@@ -248,7 +244,7 @@ def _finite_idempotents(ring: FiniteRing) -> dict:
 
 _FINITE_HANDLERS = {
     "oracle": _finite_oracle,
-    "classify": _finite_classify,
+    "classify": _finite_oracle,
     "radical": _finite_radical,
     "idempotents": _finite_idempotents,
 }

@@ -98,3 +98,39 @@ def quaternion_matrices():
         ]
 
     return [rep(1, 0, 0, 0), rep(0, 1, 0, 0), rep(0, 0, 1, 0), rep(0, 0, 0, 1)]
+
+
+# Reference loops over the Fraction table ``AlgebraPresentation.sparse_table()``:
+# the engine's integer kernel must agree with these exactly.
+
+
+def reference_associativity_violation(table, n):
+    """First ``(i, j, k)`` in loop order with ``(e_i e_j) e_k != e_i (e_j e_k)``."""
+    for i in range(n):
+        for j in range(n):
+            left = table.get((i, j), ())
+            for k in range(n):
+                lhs: Dict[int, Fraction] = {}
+                for m, c in left:
+                    for t, d in table.get((m, k), ()):
+                        lhs[t] = lhs.get(t, F(0)) + c * d
+                rhs: Dict[int, Fraction] = {}
+                for m, c in table.get((j, k), ()):
+                    for t, d in table.get((i, m), ()):
+                        rhs[t] = rhs.get(t, F(0)) + c * d
+                for t in set(lhs) | set(rhs):
+                    if lhs.get(t, F(0)) != rhs.get(t, F(0)):
+                        return (i, j, k)
+    return None
+
+
+def reference_multiply(table, n, x, y):
+    """Bilinear product of coordinate vectors, accumulated in Fractions."""
+    out = [F(0)] * n
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            if a == 0 or b == 0:
+                continue
+            for k, c in table.get((i, j), ()):
+                out[k] += F(a) * F(b) * c
+    return tuple(out)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringstruct.algebra import (
     AlgebraPresentation,
@@ -16,7 +17,7 @@ from ringstruct.algebra import (
     power_span,
 )
 from ringstruct.documents import to_object
-from ringstruct.errors import MismatchedAlgebras, ValidationError
+from ringstruct.errors import AssociativityError, MismatchedAlgebras, ValidationError
 from ringstruct.generators import (
     annihilator_gap,
     direct_sum,
@@ -25,13 +26,15 @@ from ringstruct.generators import (
     quaternion,
     strictly_upper,
 )
-from ringstruct.linalg import Subspace, unit_vec
+from ringstruct.linalg import RatMatrix, Subspace, solve, unit_vec
 
 from oracles import (
     algebra_from_matrices,
     full_matrices,
     mat_mul,
     quaternion_matrices,
+    reference_associativity_violation,
+    reference_multiply,
     shared_socle_matrices,
     strictly_upper_matrices,
     upper_triangular_matrices,
@@ -324,3 +327,108 @@ def test_cross_label_products_must_vanish():
 def test_labels_must_be_contiguous():
     with pytest.raises(ValidationError):
         AlgebraPresentation("split", 3, {}, field_labels=["K1", "K2", "K1"])
+
+
+# -- integer structure-constant kernel against the Fraction reference ------
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+def _rebase(table, n, basis):
+    """Constants of the same algebra in the basis ``f_a = sum_i basis[a][i] e_i``."""
+    change = RatMatrix.from_rows([[basis[a][i] for a in range(n)] for i in range(n)])
+    constants = {}
+    for a in range(n):
+        for b in range(n):
+            prod = reference_multiply(table, n, basis[a], basis[b])
+            coords = solve(change, prod)
+            assert coords is not None
+            constants[(a, b)] = coords
+    return constants
+
+
+@st.composite
+def rational_tables(draw):
+    """Random rational tables: associative ones in a random rational basis,
+    the same with one constant perturbed, and arbitrary sparse tables."""
+    style = draw(st.sampled_from(["rebased", "perturbed", "random"]))
+    if style == "random":
+        n = draw(st.integers(1, 3))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        chosen = draw(st.lists(pairs, max_size=n * n, unique=True))
+        return n, {p: draw(st.lists(rationals, min_size=n, max_size=n)) for p in chosen}
+    doc = draw(st.sampled_from(
+        [matrix_algebra(2), quaternion(), strictly_upper(3), annihilator_gap(1)]
+    ))
+    base = to_object(doc)
+    n = base.dim
+    # unit lower triangular times an upper triangular with nonzero diagonal
+    lower = [[F(1) if i == j else (draw(rationals) if i > j else F(0)) for j in range(n)]
+             for i in range(n)]
+    diag = st.fractions(min_value=1, max_value=5, max_denominator=6)
+    upper = [[draw(diag) if i == j else (draw(rationals) if i < j else F(0)) for j in range(n)]
+             for i in range(n)]
+    basis = mat_mul(lower, upper)
+    constants = _rebase(base.sparse_table(), n, basis)
+    if style == "perturbed":
+        pair = (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+        k = draw(st.integers(0, n - 1))
+        coords = list(constants[pair])
+        coords[k] += draw(rationals.filter(lambda q: q != 0))
+        constants[pair] = tuple(coords)
+    return n, constants
+
+
+def _assert_same_verdict(n, constants):
+    raw = AlgebraPresentation("raw", n, constants, _validate=False)
+    expected = reference_associativity_violation(raw.sparse_table(), n)
+    try:
+        AlgebraPresentation("checked", n, constants)
+    except AssociativityError as exc:
+        assert exc.triple == expected
+    else:
+        assert expected is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_tables())
+def test_associativity_check_matches_fraction_reference(case):
+    _assert_same_verdict(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_tables(), st.data())
+def test_multiply_coords_matches_fraction_reference(case, data):
+    n, constants = case
+    alg = AlgebraPresentation("raw", n, constants, _validate=False)
+    vectors = st.lists(rationals | st.just(F(0)), min_size=n, max_size=n)
+    x, y = data.draw(vectors), data.draw(vectors)
+    product = alg.multiply_coords(x, y)
+    assert product == reference_multiply(alg.sparse_table(), n, x, y)
+    assert all(type(c) is F for c in product)
+
+
+def test_integer_kernel_on_dense_rebased_table():
+    # M3 in a unimodular basis L*U with entries in {-1, 0, 1}, as in the
+    # benchmark's rebased workload: every constant dense and integral.
+    base = to_object(matrix_algebra(3))
+    n = base.dim
+    rng = random.Random(5)
+    lower = [[F(1) if i == j else (F(rng.choice((-1, 0, 1))) if i > j else F(0))
+              for j in range(n)] for i in range(n)]
+    upper = [[F(1) if i == j else (F(rng.choice((-1, 0, 1))) if i < j else F(0))
+              for j in range(n)] for i in range(n)]
+    constants = _rebase(base.sparse_table(), n, mat_mul(lower, upper))
+    dense = AlgebraPresentation("M3-rebased", n, constants)
+    table = dense.sparse_table()
+    assert sum(len(v) for v in table.values()) > n ** 3 // 2
+    assert all(c.denominator == 1 for v in table.values() for _, c in v)
+    for _ in range(20):
+        x = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+        y = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+        assert dense.multiply_coords(x, y) == reference_multiply(table, n, x, y)
+    broken = dict(constants)
+    broken[(4, 4)] = tuple(c + (1 if k == 0 else 0) for k, c in enumerate(constants[(4, 4)]))
+    _assert_same_verdict(n, broken)
+    with pytest.raises(AssociativityError):
+        AlgebraPresentation("M3-broken", n, broken)

@@ -130,3 +130,60 @@ def test_report_determinism_bytes():
     a = render(run_report(doc, "classify"), "text")
     b = render(run_report(doc, "classify"), "text")
     assert a == b
+
+
+def test_corpus_run_isolates_internal_errors(tmp_path, capsys, monkeypatch):
+    import ringstruct.cli as cli
+    from ringstruct.errors import InternalInvariantError
+
+    for fam, params, name in [
+        ("t", ["n=3"], "a-t3.alg"),
+        ("m", ["n=2"], "b-m2.alg"),
+        ("cocycle", [], "c-cocycle.alg"),
+    ]:
+        run_cli(capsys, "generate", fam, *params, "-o", str(tmp_path / name))
+    (tmp_path / "d-bad.alg").write_text("format 1\nkind algebra\nname bad\ndim x\n")
+    real = cli.run_report
+
+    def flaky(doc, command):
+        if doc.name == "M2":
+            raise InternalInvariantError("planted failure")
+        return real(doc, command)
+
+    monkeypatch.setattr(cli, "run_report", flaky)
+    code, stdout, _ = run_cli(capsys, "corpus-run", str(tmp_path))
+    assert code == EXIT_INTERNAL
+    assert "== b-m2.alg\ninternal invariant violated: planted failure" in stdout
+    assert "== d-bad.alg\nerror:" in stdout
+    # the documents after the failing one are still reported
+    assert stdout.split("== c-cocycle.alg\n")[1].startswith("certificates:")
+
+
+ALGEBRA_HEAD = "format 1\nkind algebra\nname bad\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (ALGEBRA_HEAD + "dim 1\nlabels K1\nconstants\n0 0 0 1/0\nend\n", "zero denominator"),
+        (ALGEBRA_HEAD + "dim x\nlabels K1\nconstants\nend\n", "dim must be an integer"),
+        (ALGEBRA_HEAD + "dim 1\nlabels K1\nconstants\n0 0 0 1.5\nend\n", "expected a rational"),
+        (ALGEBRA_HEAD + "dim 1\nlabels K1\nconstants\n0 0 0 1e99999\nend\n", "expected a rational"),
+        (ALGEBRA_HEAD + "dim 1\nlabels K1\nconstants\n0 0 0 " + "7" * 1001 + "\nend\n",
+         "at most 1000 digits"),
+        (ALGEBRA_HEAD + "dim 1\nlabels K1\nconstants\n0 0x 0 1\nend\n", "constant index"),
+        ("format one\nkind algebra\n", "format version must be an integer"),
+        ("format 1\nkind finite_ring\nname z\norder 2\nzero 0\nadd\n0 1\n1 0.0\n", "table row"),
+        ("format 1\nkind finite_ring\nname z\norder 1\nzero +0\n", "zero must be an integer"),
+    ],
+    ids=[
+        "zero-denominator", "dim-word", "decimal", "exponent", "too-many-digits",
+        "index-word", "format-word", "table-decimal", "signed-zero-field",
+    ],
+)
+def test_malformed_numbers_exit_1_with_message(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.doc"
+    bad.write_text(text)
+    code, _, err = run_cli(capsys, "classify", str(bad))
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: ") and message in err
