@@ -9,6 +9,7 @@ with label tagging, reduced products, and the finite/mixed templates.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -21,7 +22,7 @@ from .documents import (
 )
 from .errors import InvalidParams
 from .finite import finite_product, matrix_ring_zp, strictly_upper_zp, zmod
-from .linalg import ZERO, rat
+from .linalg import INT_PATTERN, MAX_DIGITS, ZERO, rat
 
 
 def _unit(n: int, k: int) -> list:
@@ -83,6 +84,12 @@ def quaternion(a: int = -1, b: int = -1, label: str = "K1") -> AlgebraDocument:
     a, b = rat(a), rat(b)
     if a == 0 or b == 0:
         raise InvalidParams("quaternion parameters must be nonzero")
+    # the document holds a, b and -a*b, each within the parser's digit cap
+    limit = 10**MAX_DIGITS
+    if any(abs(q.numerator) >= limit or q.denominator >= limit for q in (a, b, a * b)):
+        raise InvalidParams(
+            f"quaternion parameters and their product need at most {MAX_DIGITS} digits"
+        )
     one, i, j, k = range(4)
     c: Dict[Tuple[int, int], list] = {}
 
@@ -251,10 +258,10 @@ def _params_int(params: dict, key: str, default=None) -> int:
         if default is None:
             raise InvalidParams(f"missing parameter {key!r}")
         return default
-    try:
-        return int(params.pop(key))
-    except ValueError as exc:
-        raise InvalidParams(f"parameter {key!r} must be an integer") from exc
+    value = str(params.pop(key))
+    if not re.fullmatch(INT_PATTERN, value):
+        raise InvalidParams(f"parameter {key!r} must be an integer of at most {MAX_DIGITS} digits")
+    return int(value)
 
 
 def generate(family: str, params: Optional[dict] = None) -> AlgebraDocument:

@@ -245,10 +245,7 @@ def brauer_idempotent(alg: AlgebraPresentation, ideal: IdealSpace):
         raise NotMinimal("brauer_idempotent expects a one-sided ideal")
     side = ideal.sidedness
     space = ideal.subspace
-    try:
-        _certify_minimal(alg, space, side)
-    except NotMinimal:
-        raise
+    _certify_minimal(alg, space, side)
     if product_span(alg, space, space).is_zero():
         return NullSquare()
     rows = space.basis_rows()

@@ -5,13 +5,25 @@ there is no floating point anywhere.  Subspaces are kept in reduced
 row-echelon form with strictly increasing pivots, so two equal subspaces
 have byte-identical basis matrices and subspace equality is matrix
 equality.
+
+Row reduction runs on integers.  ``_rref_rows`` scales each input row by
+the lcm of its denominators, eliminates fraction-free (``r <- a*r - b*p``,
+then ``r`` divided by the gcd of its entries; after Bareiss's
+integer-preserving elimination, with the row's content in place of the
+previous pivot), and builds one ``Fraction`` per entry at the end.  A row
+space has exactly one reduced row-echelon basis, so the result is the one
+that Gauss-Jordan over ``Fraction`` gives, entry for entry; the integer loop
+pays one gcd per row operation where ``Fraction`` pays one per entry.  A
+``Subspace`` keeps the basis rows and pivot columns that ``_rref_rows``
+returns, so membership, coordinates and reduction never rescan for pivots.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from math import gcd, lcm
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, DocumentError
 
@@ -83,7 +95,7 @@ def vec_scale(c, u: Sequence) -> tuple:
 
 
 def is_zero_vec(u: Sequence) -> bool:
-    return all(a == 0 for a in u)
+    return not any(u)
 
 
 class RatMatrix:
@@ -102,13 +114,21 @@ class RatMatrix:
 
     @classmethod
     def from_rows(cls, row_list: Sequence[Sequence]) -> "RatMatrix":
-        row_list = [tuple(rat(x) for x in r) for r in row_list]
+        row_list = [vec(r) for r in row_list]
         cols = len(row_list[0]) if row_list else 0
         for r in row_list:
             if len(r) != cols:
                 raise DimensionMismatch("ragged rows")
-        flat = [x for r in row_list for x in r]
-        return cls(len(row_list), cols, flat)
+        return cls._of_rows(row_list, cols)
+
+    @classmethod
+    def _of_rows(cls, row_list: Sequence[tuple], cols: int) -> "RatMatrix":
+        """Matrix of rows that are already Fraction tuples of length ``cols``."""
+        m = object.__new__(cls)
+        m.rows = len(row_list)
+        m.cols = cols
+        m.entries = tuple(x for r in row_list for x in r)
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
@@ -152,51 +172,66 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
 
-def _rref_rows(rows: list) -> list:
-    """In-place Gauss-Jordan to reduced row-echelon form; returns nonzero rows."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivot_row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
+def _rref_rows(rows: Iterable[Sequence]) -> Tuple[List[tuple], List[int]]:
+    """Reduced row-echelon basis of the span of ``rows``, and its pivot columns.
+
+    Entries are Fractions or ints.  The basis comes back as Fraction tuples
+    whose leading entries are 1, one per pivot column in increasing order.
+    """
+    work = []
+    for r in rows:
+        d = lcm(*[x.denominator for x in r])
+        if d == 1:
+            ints = [x.numerator for x in r]
+        else:
+            ints = [x.numerator * (d // x.denominator) for x in r]
+        g = gcd(*ints)
+        if g:
+            work.append([x // g for x in ints] if g != 1 else ints)
+    pivots = []
+    top = 0
+    for col in range(len(work[0]) if work else 0):
+        for i in range(top, len(work)):
+            if work[i][col]:
                 break
-        if pivot is None:
+        else:
             continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        pv = rows[pivot_row][col]
-        if pv != 1:
-            rows[pivot_row] = [x / pv for x in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(rows):
+        p = work[i]
+        work[i] = work[top]
+        work[top] = p
+        a = p[col]
+        # r <- a*r - b*p clears col in every other row, and dividing by the
+        # row's gcd keeps the integers small; rows above top keep their
+        # nonzero pivot entries, so only rows below it can vanish.
+        kept = []
+        for i, r in enumerate(work):
+            b = r[col]
+            if b and i != top:
+                r = [a * x - b * y for x, y in zip(r, p)]
+                g = gcd(*r)
+                if not g:
+                    continue  # the row was dependent on the pivot rows
+                if g != 1:
+                    r = [x // g for x in r]
+            kept.append(r)
+        work = kept
+        pivots.append(col)
+        top += 1
+        if top == len(work):
             break
-    return [r for r in rows if any(x != 0 for x in r)]
+    # each row is 0 at the other pivots: its rref row is it over its pivot entry
+    basis = []
+    for r, col in zip(work, pivots):
+        a = r[col]
+        basis.append(tuple(Fraction(x, a) if x else ZERO for x in r))
+    return basis, pivots
 
 
 def rref(m: RatMatrix) -> RatMatrix:
     """Reduced row-echelon form; preserves the row space, keeps zero rows."""
-    reduced = _rref_rows(m.row_list())
-    while len(reduced) < m.rows:
-        reduced.append([ZERO] * m.cols)
-    return RatMatrix.from_rows(reduced) if m.cols or m.rows else m
-
-
-def _pivots(rows: Sequence[Sequence]) -> list:
-    cols = []
-    for r in rows:
-        for j, x in enumerate(r):
-            if x != 0:
-                cols.append(j)
-                break
-    return cols
+    reduced, _ = _rref_rows(m.row(i) for i in range(m.rows))
+    reduced += [(ZERO,) * m.cols] * (m.rows - len(reduced))
+    return RatMatrix._of_rows(reduced, m.cols)
 
 
 def solve(a: RatMatrix, b: Sequence) -> Optional[tuple]:
@@ -204,25 +239,21 @@ def solve(a: RatMatrix, b: Sequence) -> Optional[tuple]:
     b = vec(b)
     if a.rows != len(b):
         raise DimensionMismatch(f"matrix has {a.rows} rows but rhs has {len(b)} entries")
-    aug = [list(a.row(i)) + [b[i]] for i in range(a.rows)]
-    reduced = _rref_rows(aug)
     n = a.cols
+    reduced, pivots = _rref_rows(a.row(i) + (b[i],) for i in range(a.rows))
+    if pivots and pivots[-1] == n:
+        return None  # 0 = 1 row
+    # free variables stay 0, so each pivot equation reads x[piv] = rhs
     x = [ZERO] * n
-    for r in reduced:
-        piv = next(j for j, v in enumerate(r) if v != 0)
-        if piv == n:
-            return None  # 0 = 1 row
-        x[piv] = r[n]  # free variables stay 0
-    # pivot value already 1 and row reduced, but free columns may contribute:
-    # with free vars set to 0 the pivot equations read x[piv] = rhs directly.
+    for r, piv in zip(reduced, pivots):
+        x[piv] = r[n]
     return tuple(x)
 
 
 def kernel_basis(a: RatMatrix) -> list:
     """Canonical basis (as rows) of the null space of ``a``."""
-    reduced = _rref_rows(a.row_list())
+    reduced, pivots = _rref_rows(a.row(i) for i in range(a.rows))
     n = a.cols
-    pivots = _pivots(reduced)
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
     basis = []
@@ -242,7 +273,7 @@ class Subspace:
     structural equality of the representation.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "_rows", "_pivots")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence] = ()):
         self.ambient_dim = ambient_dim
@@ -252,7 +283,8 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector length does not match ambient dimension")
             rows.append(v)
-        self.basis = RatMatrix.from_rows(_rref_rows(rows)) if rows else RatMatrix(0, ambient_dim, [])
+        self._rows, self._pivots = _rref_rows(rows)
+        self.basis = RatMatrix._of_rows(self._rows, ambient_dim)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -264,49 +296,48 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self._rows)
 
     def is_zero(self) -> bool:
-        return self.dim == 0
+        return not self._rows
 
     def basis_rows(self) -> list:
-        return [self.basis.row(i) for i in range(self.basis.rows)]
+        return list(self._rows)
 
     def pivots(self) -> list:
-        return _pivots(self.basis_rows())
+        return list(self._pivots)
+
+    def _remainder(self, v: tuple) -> tuple:
+        for row, piv in zip(self._rows, self._pivots):
+            c = v[piv]
+            if c:
+                v = tuple(a - c * b if b else a for a, b in zip(v, row))
+        return v
 
     def reduce(self, v: Sequence) -> tuple:
         """Eliminate this subspace from ``v``; remainder is 0 iff v is a member."""
-        v = list(vec(v))
-        for row, piv in zip(self.basis_rows(), self.pivots()):
-            if v[piv] != 0:
-                c = v[piv]
-                v = [a - c * b for a, b in zip(v, row)]
-        return tuple(v)
+        return self._remainder(vec(v))
 
     def contains(self, v: Sequence) -> bool:
-        return is_zero_vec(self.reduce(v))
+        return not any(self._remainder(vec(v)))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis_rows())
+        return all(self.contains(r) for r in other._rows)
 
     def coords_of(self, v: Sequence) -> Optional[tuple]:
-        """Coefficients of ``v`` over the canonical basis, or None if outside."""
+        """Coefficients of ``v`` over the canonical basis, or None if outside.
+
+        Each basis row is 0 at every other pivot, so the coefficient of a
+        row is the entry of ``v`` at its pivot.
+        """
         v = vec(v)
-        coeffs = []
-        work = list(v)
-        for row, piv in zip(self.basis_rows(), self.pivots()):
-            c = work[piv]
-            coeffs.append(c)
-            if c != 0:
-                work = [a - c * b for a, b in zip(work, row)]
-        if not is_zero_vec(work):
+        if any(self._remainder(v)):
             return None
-        return tuple(coeffs)
+        return tuple(v[piv] for piv in self._pivots)
 
     def add(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace(self.ambient_dim, self.basis_rows() + other.basis_rows())
+        return Subspace(self.ambient_dim, self._rows + other._rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the double-kernel construction.
@@ -318,20 +349,20 @@ class Subspace:
         r, s = self.dim, other.dim
         if r == 0 or s == 0:
             return Subspace.zero(self.ambient_dim)
-        u_rows = self.basis_rows()
-        v_rows = other.basis_rows()
-        coeff = RatMatrix.from_rows(
+        u_rows, v_rows = self._rows, other._rows
+        coeff = RatMatrix._of_rows(
             [
-                [u_rows[i][c] for i in range(r)] + [-v_rows[j][c] for j in range(s)]
+                tuple(u[c] for u in u_rows) + tuple(-v[c] for v in v_rows)
                 for c in range(self.ambient_dim)
-            ]
+            ],
+            r + s,
         )
         vectors = []
         for k in kernel_basis(coeff):
             w = [ZERO] * self.ambient_dim
-            for i in range(r):
-                if k[i] != 0:
-                    w = [a + k[i] * b for a, b in zip(w, u_rows[i])]
+            for c, u in zip(k, u_rows):
+                if c:
+                    w = [a + c * b if b else a for a, b in zip(w, u)]
             vectors.append(w)
         return Subspace(self.ambient_dim, vectors)
 
@@ -345,15 +376,11 @@ class Subspace:
         coordinates away from the pivots of ``self``.
         """
         self._check_ambient(other)
-        if not other.contains_subspace(self):
+        inner = [other.coords_of(row) for row in self._rows]
+        if None in inner:
             raise DimensionMismatch("complement_in requires containment")
-        inner = []
-        for row in self.basis_rows():
-            c = other.coords_of(row)
-            inner.append(c)
-        inner_rows = _rref_rows(inner)
-        pivot_set = set(_pivots(inner_rows))
-        picked = [other.basis.row(j) for j in range(other.dim) if j not in pivot_set]
+        pivot_set = set(_rref_rows(inner)[1])
+        picked = [row for j, row in enumerate(other._rows) if j not in pivot_set]
         return Subspace(self.ambient_dim, picked)
 
     def _check_ambient(self, other: "Subspace"):
@@ -371,7 +398,7 @@ class Subspace:
         return hash((self.ambient_dim, self.basis))
 
     def __repr__(self):
-        rows = [" ".join(format_rat(x) for x in r) for r in self.basis_rows()]
+        rows = [" ".join(format_rat(x) for x in r) for r in self._rows]
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim}: [{'; '.join(rows)}])"
 
 

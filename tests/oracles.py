@@ -134,3 +134,121 @@ def reference_multiply(table, n, x, y):
             for k, c in table.get((i, j), ()):
                 out[k] += F(a) * F(b) * c
     return tuple(out)
+
+
+# Reference row reduction: Gauss-Jordan over Fractions, and the subspace
+# operations built on it.  The engine reduces integer rows instead
+# (``linalg._rref_rows``); RREF is unique, so every result must agree with
+# these entry for entry.
+
+
+def reference_rref_rows(rows):
+    """Nonzero rows of the reduced row-echelon form of ``rows``."""
+    rows = [[F(x) for x in r] for r in rows]
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivot_row = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(pivot_row, len(rows)):
+            if rows[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
+        pv = rows[pivot_row][col]
+        if pv != 1:
+            rows[pivot_row] = [x / pv for x in rows[pivot_row]]
+        for r in range(len(rows)):
+            if r != pivot_row and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pivot_row])]
+        pivot_row += 1
+        if pivot_row == len(rows):
+            break
+    return [r for r in rows if any(x != 0 for x in r)]
+
+
+def reference_pivots(rows):
+    return [next(j for j, x in enumerate(r) if x != 0) for r in rows]
+
+
+def reference_rref(rows, ncols):
+    """RREF keeping the row count: the nonzero rows, then zero rows."""
+    reduced = reference_rref_rows(rows)
+    return reduced + [[F(0)] * ncols for _ in range(len(rows) - len(reduced))]
+
+
+def reference_solve(rows, ncols, b):
+    reduced = reference_rref_rows([list(r) + [y] for r, y in zip(rows, b)])
+    x = [F(0)] * ncols
+    for r, piv in zip(reduced, reference_pivots(reduced)):
+        if piv == ncols:
+            return None
+        x[piv] = r[ncols]
+    return tuple(x)
+
+
+def reference_kernel_basis(rows, ncols):
+    reduced = reference_rref_rows(rows)
+    pivots = reference_pivots(reduced)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for r, piv in zip(reduced, pivots):
+            v[piv] = -r[f]
+        basis.append(v)
+    return basis
+
+
+def reference_reduce(basis, v):
+    """Eliminate the rref ``basis`` from ``v``; zero iff ``v`` is in its span."""
+    v = [F(x) for x in v]
+    for row, piv in zip(basis, reference_pivots(basis)):
+        c = v[piv]
+        if c != 0:
+            v = [a - c * b for a, b in zip(v, row)]
+    return tuple(v)
+
+
+def reference_coords_of(basis, v):
+    work = [F(x) for x in v]
+    coeffs = []
+    for row, piv in zip(basis, reference_pivots(basis)):
+        c = work[piv]
+        coeffs.append(c)
+        if c != 0:
+            work = [a - c * b for a, b in zip(work, row)]
+    if any(x != 0 for x in work):
+        return None
+    return tuple(coeffs)
+
+
+def reference_intersect(u_basis, v_basis, n):
+    """RREF basis of the intersection, from the kernel of ``[U^T | -V^T]``."""
+    r = len(u_basis)
+    if r == 0 or not v_basis:
+        return []
+    coeff = [[u[c] for u in u_basis] + [-v[c] for v in v_basis] for c in range(n)]
+    vectors = []
+    for k in reference_kernel_basis(coeff, r + len(v_basis)):
+        w = [F(0)] * n
+        for i in range(r):
+            w = [a + k[i] * b for a, b in zip(w, u_basis[i])]
+        vectors.append(w)
+    return reference_rref_rows(vectors)
+
+
+def reference_complement(inner_basis, outer_basis):
+    """Rows of ``outer_basis`` left at the non-pivot coordinates of ``inner_basis``."""
+    coords = [reference_coords_of(outer_basis, row) for row in inner_basis]
+    assert None not in coords, "the inner space must lie in the outer one"
+    pivots = set(reference_pivots(reference_rref_rows(coords)))
+    return reference_rref_rows(
+        [row for j, row in enumerate(outer_basis) if j not in pivots]
+    )

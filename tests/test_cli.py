@@ -33,6 +33,29 @@ def test_generate_invalid_params(capsys):
     assert "error" in err
 
 
+def test_generate_rejects_parameter_over_digit_cap(capsys):
+    code, out, err = run_cli(capsys, "generate", "h", "a=-" + "7" * 1001)
+    assert code == EXIT_VALIDATION
+    assert "at most 1000 digits" in err
+    assert out == ""
+
+
+def test_generate_rejects_quaternion_product_over_digit_cap(capsys):
+    big = "7" * 600
+    code, out, err = run_cli(capsys, "generate", "h", f"a=-{big}", f"b=-{big}")
+    assert code == EXIT_VALIDATION
+    assert "at most 1000 digits" in err
+    assert out == ""
+
+
+def test_generate_at_digit_cap_parses_back(tmp_path, capsys):
+    out = tmp_path / "h.alg"
+    a = "-" + "7" * 1000
+    code, _, _ = run_cli(capsys, "generate", "h", f"a={a}", "b=-1", "-o", str(out))
+    assert code == EXIT_OK
+    assert load_path(str(out)) == generate("h", {"a": a, "b": "-1"})
+
+
 def test_classify_text(tmp_path, capsys):
     out = tmp_path / "m2.alg"
     run_cli(capsys, "generate", "m", "n=2", "-o", str(out))

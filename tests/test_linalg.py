@@ -7,11 +7,25 @@ from ringstruct.errors import DimensionMismatch
 from ringstruct.linalg import (
     RatMatrix,
     Subspace,
+    _rref_rows,
     format_rat,
     kernel,
+    kernel_basis,
     parse_rat,
     rref,
     solve,
+)
+
+from oracles import (
+    reference_complement,
+    reference_coords_of,
+    reference_intersect,
+    reference_kernel_basis,
+    reference_pivots,
+    reference_reduce,
+    reference_rref,
+    reference_rref_rows,
+    reference_solve,
 )
 
 
@@ -136,3 +150,170 @@ def test_rational_serialization_round_trip():
         assert parse_rat(format_rat(q)) == q
     assert format_rat(F(4, 2)) == "2"
     assert format_rat(F(-1, 3)) == "-1/3"
+
+
+# -- the integer kernel against the Fraction reference (tests/oracles.py) ------
+
+# Plain ints mixed with Fractions, many zeros, and denominators up to 10^30.
+entries = st.one_of(
+    st.just(0),
+    st.integers(min_value=-5, max_value=5),
+    st.builds(F, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=9)),
+    st.builds(
+        F,
+        st.integers(min_value=-(10**30), max_value=10**30),
+        st.integers(min_value=1, max_value=10**30),
+    ),
+)
+
+
+@st.composite
+def row_stacks(draw, n=None):
+    """``(n, rows)``: up to 3n rows of length n, with zero, repeated and dependent rows."""
+    if n is None:
+        n = draw(st.integers(min_value=1, max_value=5))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3 * n))):
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat", "combination")))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(entries)
+            rows.append([F(x) + c * F(y) for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entries, min_size=n, max_size=n)))
+    return n, rows
+
+
+@st.composite
+def stack_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    return n, draw(row_stacks(n))[1], draw(row_stacks(n))[1]
+
+
+def matrix(n, rows):
+    return RatMatrix(len(rows), n, [x for r in rows for x in r])
+
+
+def all_fractions(rows):
+    return all(type(x) is F for r in rows for x in r)
+
+
+def in_span_or_not(draw, n, rows):
+    """A vector that is a combination of ``rows`` or an arbitrary one."""
+    if rows and draw(st.booleans()):
+        coeffs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+        return [sum((F(c) * F(r[j]) for c, r in zip(coeffs, rows)), F(0)) for j in range(n)]
+    return draw(st.lists(entries, min_size=n, max_size=n))
+
+
+kernel_settings = settings(max_examples=200, deadline=None)
+
+
+@kernel_settings
+@given(row_stacks())
+def test_rref_rows_match_fraction_reference(stack):
+    n, rows = stack
+    basis, pivots = _rref_rows(rows)
+    expected = reference_rref_rows(rows)
+    assert basis == [tuple(r) for r in expected]
+    assert pivots == reference_pivots(expected)
+    assert all_fractions(basis)
+
+
+@kernel_settings
+@given(row_stacks())
+def test_rref_keeps_shape(stack):
+    n, rows = stack
+    reduced = rref(matrix(n, rows))
+    assert (reduced.rows, reduced.cols) == (len(rows), n)
+    assert list(reduced.entries) == [x for r in reference_rref(rows, n) for x in r]
+
+
+@kernel_settings
+@given(row_stacks(), st.data())
+def test_solve_matches_fraction_reference(stack, data):
+    n, rows = stack
+    a = matrix(n, rows)
+    if data.draw(st.booleans()):
+        # consistent: b = a x
+        b = list(a.mat_vec(data.draw(st.lists(entries, min_size=n, max_size=n))))
+    else:
+        b = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    x = solve(a, b)
+    assert x == reference_solve(rows, n, b)
+    if x is not None:
+        assert all_fractions([x])
+        assert a.mat_vec(x) == tuple(F(y) for y in b)
+
+
+@kernel_settings
+@given(row_stacks())
+def test_kernel_basis_matches_fraction_reference(stack):
+    n, rows = stack
+    basis = kernel_basis(matrix(n, rows))
+    assert basis == reference_kernel_basis(rows, n)
+    assert all_fractions(basis)
+
+
+@kernel_settings
+@given(row_stacks())
+def test_subspace_basis_and_pivots_match_fraction_reference(stack):
+    n, rows = stack
+    space = Subspace(n, rows)
+    expected = reference_rref_rows(rows)
+    assert space.basis_rows() == [tuple(r) for r in expected]
+    assert space.basis == RatMatrix(len(expected), n, [x for r in expected for x in r])
+    assert space.pivots() == reference_pivots(expected)
+    assert space == Subspace(n, expected)
+
+
+@kernel_settings
+@given(row_stacks(), st.data())
+def test_membership_matches_fraction_reference(stack, data):
+    n, rows = stack
+    space = Subspace(n, rows)
+    basis = reference_rref_rows(rows)
+    v = in_span_or_not(data.draw, n, rows)
+    remainder = space.reduce(v)
+    assert remainder == reference_reduce(basis, v)
+    assert all_fractions([remainder])
+    assert space.contains(v) == (not any(reference_reduce(basis, v)))
+    assert space.coords_of(v) == reference_coords_of(basis, v)
+
+
+@kernel_settings
+@given(stack_pairs())
+def test_intersect_matches_fraction_reference(pair):
+    n, u_rows, v_rows = pair
+    u, v = Subspace(n, u_rows), Subspace(n, v_rows)
+    expected = reference_intersect(reference_rref_rows(u_rows), reference_rref_rows(v_rows), n)
+    assert u.intersect(v).basis_rows() == [tuple(r) for r in expected]
+
+
+@kernel_settings
+@given(stack_pairs())
+def test_complement_in_matches_fraction_reference(pair):
+    n, u_rows, w_rows = pair
+    u = Subspace(n, u_rows)
+    outer = u.add(Subspace(n, w_rows))
+    expected = reference_complement(
+        reference_rref_rows(u_rows), reference_rref_rows(u_rows + w_rows)
+    )
+    assert u.complement_in(outer).basis_rows() == [tuple(r) for r in expected]
+    if reference_rref_rows(w_rows + u_rows) != reference_rref_rows(w_rows):
+        with pytest.raises(DimensionMismatch):
+            outer.complement_in(Subspace(n, w_rows))
+
+
+def test_all_zero_and_empty_inputs():
+    assert _rref_rows([]) == ([], [])
+    assert _rref_rows([[0, 0], [F(0), 0]]) == ([], [])
+    assert Subspace(3, [[0, 0, 0]]) == Subspace.zero(3)
+    assert rref(RatMatrix(2, 2, [0, 0, 0, 0])) == RatMatrix(2, 2, [0, 0, 0, 0])
+    assert kernel_basis(RatMatrix(0, 2, [])) == [[1, 0], [0, 1]]
+    assert solve(RatMatrix(2, 1, [0, 0]), [0, 0]) == (0,)
+    assert solve(RatMatrix(2, 1, [0, 0]), [0, 1]) is None
