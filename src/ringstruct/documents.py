@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraPresentation
 from .errors import DocumentError
-from .finite import FiniteRing
+from .finite import ORDER_CAP, FiniteRing
 from .linalg import INT_PATTERN, MAX_DIGITS, ZERO, format_rat, parse_rat
 from .mixed import MixedRing
 
@@ -297,6 +297,8 @@ def _parse_algebra_body(cur: _Cursor) -> dict:
 
 def _parse_finite_body(cur: _Cursor) -> dict:
     order = _int(cur.expect_key("order"), "order")
+    if not 0 < order <= ORDER_CAP:
+        raise DocumentError(f"order must lie in 1..{ORDER_CAP} (the finite-ring cap), got {order}")
     zero = _int(cur.expect_key("zero"), "zero")
     cur.expect_key("add")
     add = tuple(_int_row(cur.take()) for _ in range(order))

@@ -10,12 +10,15 @@ Torsion coordinates are exact rationals in [0, 1), reduced mod 1.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .algebra import AlgebraPresentation, find_unity
 from .errors import ValidationError
-from .finite import FiniteRing
+from .finite import FiniteRing, triple_slices
 from .linalg import ZERO, is_zero_vec, rat, vec
 
 
@@ -117,27 +120,42 @@ class MixedRing:
 
         Biadditivity in each slot makes the product distribute; associativity
         of triple products reduces to cross(fg, h) = cross(f, gh) because the
-        torsion part annihilates everything.
+        torsion part annihilates everything.  The laws run on the table scaled
+        by the lcm D of its denominators, mod D, over slices of the first
+        index; the message names the first law to fail at the first failing
+        (i, j, k) in lexicographic order.
         """
         F = self.finite_part
-        n = F.order
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    left = self._cross(int(F.add[i, j]), k)
-                    split = tuple(
-                        _mod1(a + b) for a, b in zip(self._cross(i, k), self._cross(j, k))
-                    )
-                    if left != split:
-                        raise ValidationError("cross table is not additive on the left")
-                    right = self._cross(i, int(F.add[j, k]))
-                    split2 = tuple(
-                        _mod1(a + b) for a, b in zip(self._cross(i, j), self._cross(i, k))
-                    )
-                    if right != split2:
-                        raise ValidationError("cross table is not additive on the right")
-                    if self._cross(int(F.mul[i, j]), k) != self._cross(i, int(F.mul[j, k])):
-                        raise ValidationError("cross table breaks associativity")
+        n, add, mul = F.order, F.add, F.mul
+        # no product reads an entry keyed outside the finite part, and a
+        # negative key would wrap around in numpy
+        table = {
+            key: row
+            for key, row in self.cross.items()
+            if 0 <= key[0] < n and 0 <= key[1] < n
+        }
+        D = math.lcm(*(x.denominator for row in table.values() for x in row))
+        dtype = np.int64 if D < 1 << 62 else object
+        C = np.zeros((n, n, self.torsion_rank), dtype=dtype)
+        for (i, j), row in table.items():
+            C[i, j] = [x.numerator * (D // x.denominator) for x in row]
+        laws = (
+            # cross(i+j, k) == cross(i, k) + cross(j, k)
+            (lambda s: C[add[s]], lambda s: (C[s][:, None] + C[None]) % D,
+             "cross table is not additive on the left"),
+            # cross(i, j+k) == cross(i, j) + cross(i, k)
+            (lambda s: C[s][:, add], lambda s: (C[s][:, :, None] + C[s][:, None]) % D,
+             "cross table is not additive on the right"),
+            # cross(i*j, k) == cross(i, j*k)
+            (lambda s: C[mul[s]], lambda s: C[s][:, mul],
+             "cross table breaks associativity"),
+        )
+        for s in triple_slices(n):
+            fails = [(lhs(s) != rhs(s)).any(axis=-1) for lhs, rhs, _ in laws]
+            bad = np.logical_or.reduce(fails)
+            if bad.any():
+                first = np.unravel_index(np.argmax(bad), bad.shape)
+                raise ValidationError(next(m for f, (_, _, m) in zip(fails, laws) if f[first]))
 
     def zero(self) -> MixedElement:
         return MixedElement(

@@ -352,7 +352,12 @@ def _coords_over(rows: List[tuple], target, n: int) -> tuple:
 
 
 def _solve_correction(alg, sigma, nbasis, struct, defect, N2: Subspace):
-    """Solve tau(b_i b_j) - sigma_i tau(b_j) - tau(b_i) sigma_j = -g_ij  (mod N2)."""
+    """Solve tau(b_i b_j) - sigma_i tau(b_j) - tau(b_i) sigma_j = g_ij  (mod N2).
+
+    With sigma_i sigma_j = sum_k c_k sigma_k + g_ij, this is the condition
+    (sigma_i + tau_i)(sigma_j + tau_j) = sum_k c_k (sigma_k + tau_k) mod N2,
+    since tau_i tau_j lies in N2.
+    """
     n = alg.dim
     d_b, d_n = len(sigma), len(nbasis)
     # precompute sigma_i * n_m and n_m * sigma_j
@@ -385,7 +390,7 @@ def _solve_correction(alg, sigma, nbasis, struct, defect, N2: Subspace):
                 for t in range(n):
                     if rv[t] != 0:
                         coeff_rows[t][unk(i, m)] -= rv[t]
-            target = [-x for x in _dense_defect(defect[(i, j)], nbasis, n)]
+            target = _dense_defect(defect[(i, j)], nbasis, n)
             # reduce both sides modulo N2 coordinates
             for t_row, t_val in zip(_reduce_rows_mod(coeff_rows, N2), N2.reduce(target)):
                 if any(x != 0 for x in t_row) or t_val != 0:

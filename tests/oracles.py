@@ -5,10 +5,14 @@ products are computed by literal matrix multiplication over Fractions, and
 presentations are rebuilt by solving coordinates against the matrix basis.
 """
 
+import random
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from ringstruct.algebra import AlgebraPresentation
+from ringstruct.documents import AlgebraDocument, algebra_document
 from ringstruct.linalg import RatMatrix, Subspace, solve
 
 F = Fraction
@@ -252,3 +256,159 @@ def reference_complement(inner_basis, outer_basis):
     return reference_rref_rows(
         [row for j, row in enumerate(outer_basis) if j not in pivots]
     )
+
+
+# Reference finite-ring checks: the full order^3 index arrays and Python loops
+# that ``finite.py`` and ``mixed.py`` slice and vectorize.  Small orders only.
+
+
+def reference_table_violation(add, mul, zero):
+    """Message of the first table law that fails, in the engine's order, or None."""
+    add = np.asarray(add, dtype=np.int64)
+    mul = np.asarray(mul, dtype=np.int64)
+    idx = np.arange(len(add))
+    if not np.array_equal(add[zero], idx) or not np.array_equal(add[:, zero], idx):
+        return "zero is not an additive identity"
+    if not np.array_equal(add, add.T):
+        return "addition is not commutative"
+    if not np.all((add == zero).any(axis=1)):
+        return "some element has no additive inverse"
+    if not np.array_equal(add[add, :], add[:, add]):
+        return "addition is not associative"
+    if not np.array_equal(mul[mul, :], mul[:, mul]):
+        return "multiplication is not associative"
+    left = mul[:, add]
+    right = add[mul[:, :, None], mul[:, None, :]]
+    if not np.array_equal(left, right):
+        return "left distributivity fails"
+    left2 = mul[add, :]
+    right2 = add[mul[:, None, :], mul[None, :, :]]
+    if not np.array_equal(left2, right2):
+        return "right distributivity fails"
+    return None
+
+
+def reference_cross_violation(ring, cross, rank):
+    """Message of the first cross-table law that fails over a valid finite
+    ring, with (i, j, k) in loop order and the laws in the engine's order."""
+    table = {key: tuple(F(x) % 1 for x in row) for key, row in cross.items()}
+    zero_row = (F(0),) * rank
+
+    def c(i, j):
+        return table.get((i, j), zero_row)
+
+    def plus(u, v):
+        return tuple((a + b) % 1 for a, b in zip(u, v))
+
+    n, add, mul = ring.order, ring.add, ring.mul
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if c(int(add[i, j]), k) != plus(c(i, k), c(j, k)):
+                    return "cross table is not additive on the left"
+                if c(i, int(add[j, k])) != plus(c(i, j), c(i, k)):
+                    return "cross table is not additive on the right"
+                if c(int(mul[i, j]), k) != c(i, int(mul[j, k])):
+                    return "cross table breaks associativity"
+    return None
+
+
+def reference_nilpotency_index(ring):
+    """Least k with all k-fold products zero, by sets of products, or None."""
+    current = set(ring.elements())
+    for k in range(1, ring.order + 2):
+        if current == {ring.zero}:
+            return k
+        current = {int(ring.mul[x, y]) for x in ring.elements() for y in current}
+        current.add(ring.zero)
+    return None
+
+
+def reference_structure(ring):
+    """The fields of ``finite_structure`` apart from the radical, by loops."""
+    n, mul, zero = ring.order, ring.mul, ring.zero
+    unity = next(
+        (u for u in range(n)
+         if all(int(mul[u, x]) == x and int(mul[x, u]) == x for x in range(n))),
+        None,
+    )
+
+    def nilpotent(x):
+        power, seen = x, set()
+        while power not in seen:
+            if power == zero:
+                return True
+            seen.add(power)
+            power = int(mul[power, x])
+        return power == zero
+
+    index = reference_nilpotency_index(ring)
+    return {
+        "unity": unity,
+        "idempotents": [x for x in range(n) if int(mul[x, x]) == x],
+        "units": [] if unity is None else [
+            x for x in range(n)
+            if any(int(mul[x, y]) == unity and int(mul[y, x]) == unity for y in range(n))
+        ],
+        "zero_divisors": [
+            x for x in range(n) if x != zero and any(
+                int(mul[x, y]) == zero or int(mul[y, x]) == zero
+                for y in range(n) if y != zero
+            )
+        ],
+        "nil": all(nilpotent(x) for x in range(n)),
+        "nilpotency_index": index,
+        "nilpotent": index is not None,
+        "is_reduced": all(int(mul[x, x]) != zero for x in range(n) if x != zero),
+    }
+
+
+def relabel_tables(add, mul, zero, perm):
+    """The same finite ring with each element x renamed ``perm[x]``."""
+    perm = np.asarray(perm, dtype=np.int64)
+    add, mul = np.asarray(add), np.asarray(mul)
+    new_add, new_mul = np.empty_like(add), np.empty_like(mul)
+    new_add[perm[:, None], perm[None, :]] = perm[add]
+    new_mul[perm[:, None], perm[None, :]] = perm[mul]
+    return new_add, new_mul, int(perm[zero])
+
+
+# A change of basis for algebra documents, built on the Fraction references.
+
+
+def random_unimodular(size: int, rng: random.Random) -> List[List[int]]:
+    """``L U`` with unit triangular factors whose off-diagonal entries lie in
+    {-1, 0, 1}: invertible over the integers."""
+    lower = [[1 if i == j else (rng.randint(-1, 1) if j < i else 0) for j in range(size)]
+             for i in range(size)]
+    upper = [[1 if i == j else (rng.randint(-1, 1) if j > i else 0) for j in range(size)]
+             for i in range(size)]
+    return [[sum(lower[i][k] * upper[k][j] for k in range(size)) for j in range(size)]
+            for i in range(size)]
+
+
+def rebase_document(doc: AlgebraDocument, rng: random.Random) -> AlgebraDocument:
+    """The same algebra in the basis ``f_i = sum_a P[i][a] e_a``, with ``P``
+    block-diagonal over the runs of equal field labels and each block drawn
+    by :func:`random_unimodular`, so the labels stay valid."""
+    payload = doc.payload
+    dim, labels = payload["dim"], payload["labels"]
+    p = [[0] * dim for _ in range(dim)]
+    start = 0
+    for end in range(1, dim + 1):
+        if end == dim or labels[end] != labels[start]:
+            block = random_unimodular(end - start, rng)
+            for a in range(end - start):
+                p[start + a][start:end] = block[a]
+            start = end
+    table: Dict[Tuple[int, int], list] = {}
+    for a, b, c, coeff in payload["constants"]:
+        table.setdefault((a, b), []).append((c, F(coeff)))
+    transpose = [[p[d][c] for d in range(dim)] for c in range(dim)]
+    constants = {}
+    for i in range(dim):
+        for j in range(dim):
+            in_e = reference_multiply(table, dim, p[i], p[j])
+            if any(in_e):
+                constants[(i, j)] = reference_solve(transpose, dim, in_e)
+    return algebra_document(f"{doc.name}~rebased", dim, constants, labels=labels)

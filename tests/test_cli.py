@@ -210,3 +210,14 @@ def test_malformed_numbers_exit_1_with_message(tmp_path, capsys, text, message):
     code, _, err = run_cli(capsys, "classify", str(bad))
     assert code == EXIT_VALIDATION
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("order", ["100000", "257", "0"])
+def test_finite_order_outside_cap_exits_1_before_rows(tmp_path, capsys, order):
+    # no table rows follow: the order is rejected before any row is read
+    bad = tmp_path / "big.ring"
+    bad.write_text(f"format 1\nkind finite_ring\nname big\norder {order}\nzero 0\nadd\n")
+    code, out, err = run_cli(capsys, "oracle", str(bad))
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("error: ") and "1..256" in err and order in err

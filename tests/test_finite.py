@@ -1,5 +1,11 @@
-import pytest
+import tracemalloc
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from ringstruct import finite
 from ringstruct.errors import InvalidParams, ValidationError
 from ringstruct.finite import (
     FiniteRing,
@@ -9,8 +15,16 @@ from ringstruct.finite import (
     jacobson_definitional,
     largest_nilpotent_ideal,
     matrix_ring_zp,
+    ring_nilpotency_index,
     strictly_upper_zp,
     zmod,
+)
+
+from oracles import (
+    reference_nilpotency_index,
+    reference_structure,
+    reference_table_violation,
+    relabel_tables,
 )
 
 
@@ -129,3 +143,98 @@ def test_order_cap():
 def test_unity_detection():
     assert zmod(6).unity() == 1
     assert strictly_upper_zp(2, 2).unity() is None
+
+
+# -- the vectorized layer against the loop references -------------------------
+
+
+@st.composite
+def relabelled_rings(draw):
+    """Tables of a constructor ring with its elements renamed by a random
+    permutation, so that zero is rarely 0."""
+    kind = draw(st.sampled_from(["zmod", "matrix", "upper", "product"]))
+    if kind == "zmod":
+        ring = zmod(draw(st.integers(1, 40)))
+    elif kind == "matrix":
+        ring = matrix_ring_zp(2, 2)
+    elif kind == "upper":
+        ring = strictly_upper_zp(3, draw(st.sampled_from([2, 3])))
+    else:
+        parts = [zmod(1), zmod(2), zmod(3), zmod(4), zmod(6), strictly_upper_zp(2, 2)]
+        ring = finite_product(draw(st.sampled_from(parts)), draw(st.sampled_from(parts)))
+    perm = draw(st.permutations(range(ring.order)))
+    return relabel_tables(ring.add, ring.mul, ring.zero, perm)
+
+
+def _slice_rows(data, n):
+    """A patch of the slice size to a few rows of (j, k) pairs per slice."""
+    rows = data.draw(st.sampled_from([1, 2, 3, n]))
+    return mock.patch.object(finite, "SLICE_TRIPLES", rows * n * n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_rings(), st.data())
+def test_structure_matches_loop_reference(tables, data):
+    add, mul, zero = tables
+    assert reference_table_violation(add, mul, zero) is None
+    with _slice_rows(data, len(add)):
+        ring = FiniteRing("relabelled", add, mul, zero=zero)
+    expected = reference_structure(ring)
+    structure = finite_structure(ring)
+    for field, value in expected.items():
+        assert getattr(structure, field) == value, field
+    assert ring.unity() == expected["unity"]
+    assert ring_nilpotency_index(ring) == reference_nilpotency_index(ring)
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabelled_rings(), st.data())
+def test_corrupted_table_gets_the_reference_message(tables, data):
+    add, mul, zero = tables[0].copy(), tables[1].copy(), tables[2]
+    n = len(add)
+    assume(n > 1)
+    table = data.draw(st.sampled_from([add, mul]))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    table[i, j] = data.draw(st.integers(0, n - 1).filter(lambda v: v != table[i, j]))
+    expected = reference_table_violation(add, mul, zero)
+    with _slice_rows(data, n):
+        if expected is None:
+            FiniteRing("corrupted", add, mul, zero=zero)
+        else:
+            with pytest.raises(ValidationError) as info:
+                FiniteRing("corrupted", add, mul, zero=zero)
+            assert str(info.value) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 40), st.sampled_from(["left", "right"]), st.data())
+def test_projection_product_fails_one_distributive_law(n, side, data):
+    # x * y = x is associative and right distributive but not left
+    # distributive; x * y = y the other way round
+    idx = np.arange(n)
+    mul = np.broadcast_to(idx[:, None] if side == "left" else idx, (n, n))
+    perm = data.draw(st.permutations(range(n)))
+    add, mul, zero = relabel_tables(zmod(n).add, mul, 0, perm)
+    expected = reference_table_violation(add, mul, zero)
+    assert expected == f"{side} distributivity fails"
+    with _slice_rows(data, n), pytest.raises(ValidationError) as info:
+        FiniteRing("projection", add, mul, zero=zero)
+    assert str(info.value) == expected
+
+
+def test_nilpotency_index_stops_at_fixpoint():
+    # a unital ring is its own product set from the first step on
+    assert ring_nilpotency_index(zmod(256)) is None
+    assert ring_nilpotency_index(finite_product(zmod(2), strictly_upper_zp(2, 2))) is None
+    assert ring_nilpotency_index(strictly_upper_zp(3, 3)) == 3
+    assert ring_nilpotency_index(zmod(1)) == 1
+
+
+def test_validation_memory_is_quadratic_in_the_order():
+    tracemalloc.start()
+    try:
+        zmod(256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -1,10 +1,14 @@
 from fractions import Fraction as F
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ringstruct import finite
 from ringstruct.documents import to_object
 from ringstruct.errors import ValidationError
-from ringstruct.finite import FiniteRing, zmod
+from ringstruct.finite import FiniteRing, finite_product, zmod
 from ringstruct.generators import base_field, disconnected_example, finite_plus_field
 from ringstruct.mixed import (
     MixedRing,
@@ -12,6 +16,8 @@ from ringstruct.mixed import (
     mixed_multiply,
     torsion_ideal,
 )
+
+from oracles import reference_cross_violation, relabel_tables
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +129,55 @@ def test_mod_one_reduction():
     ring = to_object(disconnected_example())
     x = ring.element(1, [], [F(7, 2)])
     assert x.torsion == (F(1, 2),)
+
+
+# -- the vectorized cross-table check against the loop reference --------------
+
+
+@st.composite
+def cross_tables(draw):
+    """A relabelled Z/a x Z/b with a biadditive, associative cross table
+    cross(x, y) = sum_t c_t (x1 y1 / a + x2 y2 / b) mod 1 in its standard
+    labels, sometimes with one entry replaced."""
+    a, b = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    base = finite_product(zmod(a), zmod(b))
+    perm = draw(st.permutations(range(base.order)))
+    ring = FiniteRing("F", *relabel_tables(base.add, base.mul, base.zero, perm))
+    rank = draw(st.integers(0, 2))
+    coeffs = [(draw(st.integers(0, a - 1)), draw(st.integers(0, b - 1))) for _ in range(rank)]
+    cross = {}
+    for x in range(base.order):
+        for y in range(base.order):
+            (x1, x2), (y1, y2) = divmod(x, b), divmod(y, b)
+            row = [F(c1 * x1 * y1, a) + F(c2 * x2 * y2, b) for c1, c2 in coeffs]
+            if any(v % 1 for v in row):
+                cross[(perm[x], perm[y])] = row
+    if rank and draw(st.booleans()):
+        key = (draw(st.integers(0, ring.order - 1)), draw(st.integers(0, ring.order - 1)))
+        big = st.fractions(min_value=0, max_value=1, max_denominator=2**80)
+        cross[key] = [draw(st.fractions(0, 1, max_denominator=12) | big) for _ in range(rank)]
+    return ring, rank, cross
+
+
+@settings(max_examples=150, deadline=None)
+@given(cross_tables(), st.sampled_from([1, 2, 3, None]))
+def test_cross_check_matches_loop_reference(case, rows):
+    ring, rank, cross = case
+    n = ring.order
+    expected = reference_cross_violation(ring, cross, rank)
+    with mock.patch.object(finite, "SLICE_TRIPLES", (rows or n) * n * n):
+        if expected is None:
+            MixedRing("m", ring, to_object(base_field()), rank, cross)
+        else:
+            with pytest.raises(ValidationError) as info:
+                MixedRing("m", ring, to_object(base_field()), rank, cross)
+            assert str(info.value) == expected
+
+
+def test_cross_check_with_huge_denominator():
+    # D = 2^70 does not fit int64: the check runs on Python integers
+    cross = {(1, 1): [F(1, 2**70)]}
+    expected = reference_cross_violation(zmod(2), cross, 1)
+    assert expected == "cross table is not additive on the left"
+    with pytest.raises(ValidationError, match=expected):
+        MixedRing("huge", zmod(2), to_object(base_field()), 1, cross)

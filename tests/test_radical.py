@@ -3,15 +3,19 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringstruct.algebra import AlgebraPresentation, IdealSpace, algebra_annihilator
 from ringstruct.documents import to_object
 from ringstruct.errors import NotNilpotent, NotTwoSidedIdeal
 from ringstruct.generators import (
     annihilator_gap,
+    base_field,
     direct_sum,
     matrix_algebra,
     null_ring,
+    quaternion,
+    relabel,
     square_cocycle,
     strictly_upper,
     upper_triangular,
@@ -25,6 +29,10 @@ from ringstruct.radical import (
     quotient_algebra,
     radical_complement,
 )
+from ringstruct.reports import run_report
+from ringstruct.verification import verify_radical_report, verify_unitize_report
+
+from oracles import rebase_document
 
 
 @pytest.fixture(scope="module")
@@ -296,3 +304,45 @@ def test_nilpotency_bound_on_elements(corpus):
             k = element_nilpotency(x)
             if k is not None:
                 assert k <= bound
+
+
+# -- radical complements in a random basis ------------------------------------
+
+# Families with both a radical and a semisimple part.  In the standard basis
+# the canonical complement is already multiplicative, so only a change of
+# basis makes the Wedderburn correction do any work.
+MIXED_RADICAL_DOCUMENTS = [
+    upper_triangular(2),
+    upper_triangular(3),
+    upper_triangular(4),
+    direct_sum([quaternion(), strictly_upper(3)]),
+    direct_sum([upper_triangular(2), null_ring(1)]),
+    direct_sum([base_field(), upper_triangular(2), strictly_upper(2)]),
+    direct_sum([quaternion(), null_ring(1), relabel(upper_triangular(2), "K2")]),
+    direct_sum([relabel(strictly_upper(3), "K0"), upper_triangular(3)]),
+]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(MIXED_RADICAL_DOCUMENTS), st.integers(0, 2**32))
+def test_radical_complement_in_random_basis(base, seed):
+    doc = rebase_document(base, random.Random(seed))
+    a = to_object(doc)
+    radical = jacobson_radical(a)
+    complement = radical_complement(a)
+    rows = complement.subspace.basis_rows()
+    for u in rows:
+        for v in rows:
+            assert complement.subspace.contains(a.multiply_coords(u, v))
+    assert complement.dim + radical.dim == a.dim
+    assert complement.subspace.intersect(radical.subspace).is_zero()
+    quotient, projection = quotient_algebra(a, radical)
+    images = [projection.project(u) for u in rows]
+    assert Subspace(quotient.dim, images).dim == quotient.dim == complement.dim
+    for u in rows:
+        for v in rows:
+            assert projection.project(a.multiply_coords(u, v)) == quotient.multiply_coords(
+                projection.project(u), projection.project(v)
+            )
+    verify_radical_report(a, run_report(doc, "radical"))
+    verify_unitize_report(a, run_report(doc, "unitize"))
