@@ -17,6 +17,20 @@ is the lcm of all constant denominators.  The associativity check and
 gcd per operation, and both sides of ``(e_i e_j) e_k = e_i (e_j e_k)``
 carry the same factor ``D^2``, so comparing the integer sums is exact.
 Products build each output ``Fraction`` once, over the common denominator.
+
+The regular representation is read from the same table.
+:meth:`AlgebraPresentation.operator` gives the integer rows of ``L_x``
+(``v -> x v``) or ``R_x`` (``v -> v x``) over one scale ``dx * D``, walking
+only the table entries of the basis elements that occur in ``x``; a basis
+element is passed as its index, so no unit vector is built or scanned.  Its
+columns are the products ``x e_j`` (or ``e_j x``), so the same call serves
+the span of ``x A`` or ``A x`` and every basis-times-vector product.
+Annihilators, the center, centralizers and the unity are kernels (or one
+solve) of stacked operators, and they are fed the integer rows unscaled: a
+kernel does not change when a row is multiplied by a nonzero constant, and
+reduced row-echelon bases are unique, so the results equal those of the
+``Fraction`` matrices entry for entry.  A solve scales its right-hand side
+with its rows.
 """
 
 from __future__ import annotations
@@ -33,10 +47,10 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    ONE,
     ZERO,
     RatMatrix,
     Subspace,
+    combine,
     is_zero_vec,
     kernel,
     rat,
@@ -102,6 +116,7 @@ class AlgebraPresentation:
             pair: tuple((k, c.numerator * (self._denominator // c.denominator)) for k, c in sparse)
             for pair, sparse in table.items()
         }
+        self._by_side = None
         if _validate:
             self._validate()
 
@@ -197,14 +212,49 @@ class AlgebraPresentation:
     def basis_elements(self) -> List["Element"]:
         return [self.basis_element(i) for i in range(self.dim)]
 
+    def operator(self, x, side: str) -> Tuple[List[List[int]], int]:
+        """Integer rows of L_x (side ``"left"``, v -> x v) or R_x (v -> v x), and their scale.
+
+        ``x`` is a basis index or a coordinate vector.  Row k, column j over
+        the scale is coordinate k of ``x e_j`` (or ``e_j x``), so the columns
+        are the products of x with the basis.
+        """
+        n = self.dim
+        if isinstance(x, int):
+            terms, scale = [(x, 1)], self._denominator
+        else:
+            xs = [(i, c) for i, c in enumerate(x) if c]
+            dx = lcm(*[c.denominator for _, c in xs])
+            terms = [(i, c.numerator * (dx // c.denominator)) for i, c in xs]
+            scale = dx * self._denominator
+        if self._by_side is None:
+            # the integer table grouped by the operator's basis index, on first
+            # use: left[i] lists (j, e_i e_j) and right[i] lists (j, e_j e_i)
+            left, right = [[] for _ in range(n)], [[] for _ in range(n)]
+            for (i, j), sparse in self._int_table.items():
+                left[i].append((j, sparse))
+                right[j].append((i, sparse))
+            self._by_side = {"left": left, "right": right}
+        by_index = self._by_side[side]
+        rows = [[0] * n for _ in range(n)]
+        for i, a in terms:
+            for j, sparse in by_index[i]:
+                for k, c in sparse:
+                    rows[k][j] += a * c
+        return rows, scale
+
+    def _fraction_operator(self, x: Sequence, side: str) -> RatMatrix:
+        rows, scale = self.operator(x, side)
+        return RatMatrix._of_rows(
+            [tuple(Fraction(v, scale) if v else ZERO for v in row) for row in rows], self.dim
+        )
+
     def left_mult_matrix(self, x: Sequence) -> RatMatrix:
         """Matrix of v -> x*v over the basis (columns are images of e_j)."""
-        cols = [self.multiply_coords(x, unit_vec(self.dim, j)) for j in range(self.dim)]
-        return RatMatrix.from_rows([[cols[j][k] for j in range(self.dim)] for k in range(self.dim)])
+        return self._fraction_operator(x, "left")
 
     def right_mult_matrix(self, x: Sequence) -> RatMatrix:
-        cols = [self.multiply_coords(unit_vec(self.dim, j), x) for j in range(self.dim)]
-        return RatMatrix.from_rows([[cols[j][k] for j in range(self.dim)] for k in range(self.dim)])
+        return self._fraction_operator(x, "right")
 
     def label_blocks(self) -> List[Tuple[str, range]]:
         """Contiguous coordinate ranges per field label, in coordinate order."""
@@ -272,11 +322,7 @@ class AlgebraPresentation:
         )
 
         def embed(coords):
-            out = [ZERO] * self.dim
-            for c, row in zip(coords, rows):
-                if c != 0:
-                    out = [a + c * b for a, b in zip(out, row)]
-            return tuple(out)
+            return combine(coords, rows, self.dim)
 
         def restrict(ambient):
             coords = space.coords_of(ambient)
@@ -378,18 +424,12 @@ class IdealSpace:
 
     def _verify(self):
         alg, rows = self.algebra, self.subspace.basis_rows()
-        if self.sidedness in ("left", "two-sided"):
-            for i in range(alg.dim):
-                e = unit_vec(alg.dim, i)
+        # A r is spanned by the columns of R_r, and r A by those of L_r
+        for what, op_side in (("left", "right"), ("right", "left")):
+            if self.sidedness in (what, "two-sided"):
                 for r in rows:
-                    if not self.subspace.contains(alg.multiply_coords(e, r)):
-                        raise ValidationError("subspace is not a left ideal")
-        if self.sidedness in ("right", "two-sided"):
-            for i in range(alg.dim):
-                e = unit_vec(alg.dim, i)
-                for r in rows:
-                    if not self.subspace.contains(alg.multiply_coords(r, e)):
-                        raise ValidationError("subspace is not a right ideal")
+                    if not all(map(self.subspace.contains, zip(*alg.operator(r, op_side)[0]))):
+                        raise ValidationError(f"subspace is not a {what} ideal")
         if self.sidedness == "subring-only":
             for r in rows:
                 for s in rows:
@@ -432,12 +472,10 @@ def annihilators(elements: Sequence[Element]):
     n = alg.dim
     left_rows, right_rows = [], []
     for x in elements:
-        rx = alg.right_mult_matrix(x.coords)  # a -> a*x
-        lx = alg.left_mult_matrix(x.coords)  # a -> x*a
-        left_rows.extend(rx.row_list())
-        right_rows.extend(lx.row_list())
-    ann1 = kernel(RatMatrix.from_rows(left_rows)) if left_rows else Subspace.full(n)
-    ann2 = kernel(RatMatrix.from_rows(right_rows)) if right_rows else Subspace.full(n)
+        left_rows.extend(alg.operator(x.coords, "right")[0])  # a -> a*x
+        right_rows.extend(alg.operator(x.coords, "left")[0])  # a -> x*a
+    ann1 = kernel(RatMatrix._of_rows(left_rows, n)) if left_rows else Subspace.full(n)
+    ann2 = kernel(RatMatrix._of_rows(right_rows, n)) if right_rows else Subspace.full(n)
     both = ann1.intersect(ann2)
     spans_all = Subspace(n, [e.coords for e in elements]).dim == n
     return (
@@ -456,35 +494,23 @@ def algebra_annihilator(alg: AlgebraPresentation) -> IdealSpace:
 
 def center(alg: AlgebraPresentation) -> IdealSpace:
     """Kernel of the stacked commutator maps x -> x e_i - e_i x."""
-    rows = []
     n = alg.dim
-    for i in range(n):
-        e = unit_vec(n, i)
-        diff_cols = [
-            vec_sub(
-                alg.multiply_coords(unit_vec(n, j), e),
-                alg.multiply_coords(e, unit_vec(n, j)),
-            )
-            for j in range(n)
-        ]
-        rows.extend([[diff_cols[j][k] for j in range(n)] for k in range(n)])
-    space = kernel(RatMatrix.from_rows(rows)) if rows else Subspace.zero(0)
+    rows = [row for i in range(n) for row in _commutator_rows(alg, i)]
+    space = kernel(RatMatrix._of_rows(rows, n)) if rows else Subspace.zero(0)
     return IdealSpace(alg, space, "subring-only")
+
+
+def _commutator_rows(alg: AlgebraPresentation, x) -> List[List[int]]:
+    """Integer rows of x -> x a - a x (R_a - L_a) for a basis index or coordinates a."""
+    right, left = alg.operator(x, "right")[0], alg.operator(x, "left")[0]
+    return [[p - q for p, q in zip(r, l)] for r, l in zip(right, left)]
 
 
 def centralizer(a: Element) -> IdealSpace:
     """Elements commuting with ``a``; always a subring containing ``a``."""
     alg = a.algebra
-    n = alg.dim
-    diff_cols = [
-        vec_sub(
-            alg.multiply_coords(unit_vec(n, j), a.coords),
-            alg.multiply_coords(a.coords, unit_vec(n, j)),
-        )
-        for j in range(n)
-    ]
-    rows = [[diff_cols[j][k] for j in range(n)] for k in range(n)]
-    return IdealSpace(alg, kernel(RatMatrix.from_rows(rows)), "subring-only")
+    rows = _commutator_rows(alg, a.coords)
+    return IdealSpace(alg, kernel(RatMatrix._of_rows(rows, alg.dim)), "subring-only")
 
 
 def generated_subring(elements: Sequence[Element]) -> IdealSpace:
@@ -529,15 +555,13 @@ def power_span(alg: AlgebraPresentation, k: int) -> Subspace:
 def _power_chain(alg: AlgebraPresentation, k: int) -> List[Subspace]:
     current = Subspace.full(alg.dim)
     chain = [current]
-    n = alg.dim
     for _ in range(k - 1):
-        rows = current.basis_rows()
-        products = []
-        for i in range(n):
-            e = unit_vec(n, i)
-            for v in rows:
-                products.append(alg.multiply_coords(e, v))
-                products.append(alg.multiply_coords(v, e))
+        products = [
+            col
+            for v in current.basis_rows()
+            for side in ("right", "left")  # e_i v, then v e_i
+            for col in zip(*alg.operator(v, side)[0])
+        ]
         nxt = Subspace(alg.dim, products)
         chain.append(nxt)
         if nxt == current or nxt.is_zero():
@@ -564,14 +588,11 @@ def find_unity(alg: AlgebraPresentation) -> Optional[Element]:
         return None
     rows, rhs = [], []
     for i in range(n):
-        e = unit_vec(n, i)
-        right = alg.right_mult_matrix(e)  # u -> u*e_i
-        left = alg.left_mult_matrix(e)  # u -> e_i*u
-        rows.extend(right.row_list())
-        rhs.extend(e)
-        rows.extend(left.row_list())
-        rhs.extend(e)
-    sol = solve(RatMatrix.from_rows(rows), rhs)
+        for side in ("right", "left"):  # u -> u*e_i, then u -> e_i*u
+            op, scale = alg.operator(i, side)
+            rows.extend(op)
+            rhs.extend(scale if k == i else 0 for k in range(n))
+    sol = solve(RatMatrix._of_rows(rows, n), rhs)
     return alg.element(sol) if sol is not None else None
 
 
@@ -603,14 +624,15 @@ def classify_element(a: Element) -> ElementClassification:
     alg = a.algebra
     if a.is_zero():
         return ElementClassification(ElementClassification.ZERO)
-    left = alg.left_mult_matrix(a.coords)
+    left, scale = alg.operator(a.coords, "left")
+    left = RatMatrix._of_rows(left, alg.dim)
     ker_left = kernel(left)
     if not ker_left.is_zero():
         return ElementClassification(
             ElementClassification.ZERO_DIVISOR,
             witness=alg.element(ker_left.basis.row(0)),
         )
-    right = alg.right_mult_matrix(a.coords)
+    right = RatMatrix._of_rows(alg.operator(a.coords, "right")[0], alg.dim)
     ker_right = kernel(right)
     if not ker_right.is_zero():
         return ElementClassification(
@@ -622,7 +644,7 @@ def classify_element(a: Element) -> ElementClassification:
         raise InternalInvariantError(
             "both multiplication operators invertible but no unity exists"
         )
-    inv = solve(left, unity.coords)
+    inv = solve(left, vec_scale(scale, unity.coords))
     if inv is None:
         raise InternalInvariantError("invertible left multiplication failed to solve")
     candidate = alg.element(inv)

@@ -13,8 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import sympy
-
 from .algebra import (
     AlgebraPresentation,
     Element,
@@ -39,14 +37,14 @@ from .linalg import (
     ZERO,
     RatMatrix,
     Subspace,
+    apply_rows,
+    combine,
     is_zero_vec,
     kernel,
     rat,
     solve,
     unit_vec,
     vec_add,
-    vec_scale,
-    zero_vec,
 )
 from .idempotents import (
     brauer_idempotent,
@@ -57,7 +55,13 @@ from .idempotents import (
     _certify_minimal,
     _probe_vectors,
 )
-from .radical import element_nilpotency, is_nilpotent, jacobson_radical, radical_complement
+from .radical import (
+    _left_mult_traces,
+    element_nilpotency,
+    is_nilpotent,
+    jacobson_radical,
+    radical_complement,
+)
 
 REAL = "REAL"
 COMPLEX = "COMPLEX"
@@ -213,6 +217,8 @@ def minimal_polynomial(alg: AlgebraPresentation, x: Element, unity: Element) -> 
 
 def _factor_rational_poly(poly: List[Fraction]) -> List[List[Fraction]]:
     """Irreducible monic factors over Q, canonically ordered."""
+    import sympy  # imported here, its only use: loading it costs every run that never factors
+
     t = sympy.Symbol("t")
     expr = sum(sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(poly))
     _, factors = sympy.factor_list(sympy.Poly(expr, t, domain="QQ"))
@@ -442,9 +448,7 @@ def semisimple_decompose(
     flags: List[dict] = []
     total_dim = 0
     for c in centrals:
-        ideal_space = Subspace(
-            n, [alg.multiply_coords(unit_vec(n, i), c.coords) for i in range(n)]
-        )
+        ideal_space = Subspace(n, zip(*alg.operator(c.coords, "right")[0]))  # A c
         ideal = IdealSpace(alg, ideal_space, "two-sided")
         sub, embed, restrict = alg.subalgebra(ideal_space, name=f"{alg.name}|c")
         sub_unity = sub.element(restrict(c.coords))
@@ -483,11 +487,7 @@ def _space_label(alg: AlgebraPresentation, space: Subspace) -> str:
 
 
 def _is_central(alg: AlgebraPresentation, e: Element) -> bool:
-    for i in range(alg.dim):
-        b = alg.basis_element(i)
-        if (e * b) != (b * e):
-            return False
-    return True
+    return alg.operator(e.coords, "left") == alg.operator(e.coords, "right")
 
 
 # -- corners and division recognition ----------------------------------------
@@ -500,13 +500,7 @@ def corner_division_check(alg: AlgebraPresentation, e_i: Element, e_j: Element) 
     a unit of the corner algebra; NULL means all pairwise products of a
     corner basis vanish.
     """
-    n = alg.dim
-    corner_rows = []
-    for k in range(n):
-        x = unit_vec(n, k)
-        v = alg.multiply_coords(alg.multiply_coords(e_i.coords, x), e_j.coords)
-        corner_rows.append(v)
-    corner = Subspace(n, corner_rows)
+    corner = Subspace(alg.dim, _corner_products(alg, e_i, e_j)[0])
     if corner.is_zero():
         return NULL
     products_vanish = all(
@@ -519,7 +513,7 @@ def corner_division_check(alg: AlgebraPresentation, e_i: Element, e_j: Element) 
     if e_i != e_j:
         return OTHER
     sub, _, _ = alg.subalgebra(corner, name=f"{alg.name}|corner")
-    for probe in _probe_vectors([tuple(r) for r in _sub_rows(sub)]):
+    for probe in _probe_vectors([unit_vec(sub.dim, i) for i in range(sub.dim)]):
         if is_zero_vec(probe):
             continue
         cls = classify_element(sub.element(probe))
@@ -528,8 +522,11 @@ def corner_division_check(alg: AlgebraPresentation, e_i: Element, e_j: Element) 
     return DIVISION
 
 
-def _sub_rows(sub: AlgebraPresentation):
-    return [unit_vec(sub.dim, i) for i in range(sub.dim)]
+def _corner_products(alg: AlgebraPresentation, e: Element, f: Element) -> Tuple[List[tuple], int]:
+    """The products e e_k f for every basis index k, as integer vectors, and their scale."""
+    left, s = alg.operator(e.coords, "left")
+    right, t = alg.operator(f.coords, "right")
+    return [apply_rows(right, col) for col in zip(*left)], s * t
 
 
 def frobenius_type(division: AlgebraPresentation) -> str:
@@ -560,10 +557,7 @@ def frobenius_type(division: AlgebraPresentation) -> str:
         alpha, beta = sol
         return COMPLEX if beta * beta + 4 * alpha < 0 else UNRECOGNIZED
     if d == 4:
-        taus = [
-            sum(division.basis_product(i, j)[j] for j in range(4)) for i in range(4)
-        ]
-        trace_zero = kernel(RatMatrix.from_rows([taus]))
+        trace_zero = kernel(RatMatrix._of_rows([_left_mult_traces(division)], 4))
         if trace_zero.dim != 3:
             return UNRECOGNIZED
         v = trace_zero.basis_rows()
@@ -582,8 +576,8 @@ def frobenius_type(division: AlgebraPresentation) -> str:
         negatives = [idx for idx, q in enumerate(diag) if q < 0]
         if len(negatives) < 2:
             return UNRECOGNIZED
-        i_vec = _combine(v, basis[negatives[0]])
-        j_vec = _combine(v, basis[negatives[1]])
+        i_vec = combine(basis[negatives[0]], v, 4)
+        j_vec = combine(basis[negatives[1]], v, 4)
         i_el, j_el = division.element(i_vec), division.element(j_vec)
         if (i_el * j_el + j_el * i_el).is_zero() and not i_el.is_zero() and not j_el.is_zero():
             return QUATERNION
@@ -660,15 +654,6 @@ def _diagonalize_symmetric(gram):
     return rows, diag
 
 
-def _combine(base_rows, coeffs):
-    n = len(base_rows[0])
-    acc = [ZERO] * n
-    for c, row in zip(coeffs, base_rows):
-        if c != 0:
-            acc = [a + c * b for a, b in zip(acc, row)]
-    return tuple(acc)
-
-
 # -- reduced decomposition -----------------------------------------------------
 
 
@@ -708,12 +693,10 @@ def reduced_decompose(alg: AlgebraPresentation) -> ReducedDecomposition:
     for f in factors:
         if f.matrix_degree >= 2:
             e1, e2 = f.primitive_idempotents[0], f.primitive_idempotents[1]
-            n = alg.dim
-            for k in range(n):
-                x = unit_vec(n, k)
-                w = alg.multiply_coords(alg.multiply_coords(e1.coords, x), e2.coords)
+            products, scale = _corner_products(alg, e1, e2)
+            for w in products:
                 if not is_zero_vec(w):
-                    return ReducedDecomposition(None, alg.element(w))
+                    return ReducedDecomposition(None, alg.element([Fraction(x, scale) for x in w]))
             raise InternalInvariantError("degree >= 2 factor with empty off-diagonal corner")
     counts: Dict[str, Dict[str, int]] = {}
     for f in factors:

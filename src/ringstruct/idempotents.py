@@ -25,7 +25,7 @@ from .errors import (
     NotIdempotent,
     NotMinimal,
 )
-from .linalg import RatMatrix, Subspace, is_zero_vec, kernel, solve, unit_vec, zero_vec
+from .linalg import RatMatrix, Subspace, apply_rows, combine, is_zero_vec, kernel, solve, unit_vec
 from .radical import is_nilpotent, quotient_algebra
 
 
@@ -128,12 +128,8 @@ def _find_idempotent_nonnil(alg: AlgebraPresentation) -> Element:
 
 def _left_annihilated_by(alg: AlgebraPresentation, space: Subspace) -> Subspace:
     """{x : v x = 0 for every v in the subspace}."""
-    rows = []
-    n = alg.dim
-    for v in space.basis_rows():
-        lv = alg.left_mult_matrix(v)  # x -> v*x
-        rows.extend(lv.row_list())
-    return kernel(RatMatrix.from_rows(rows)) if rows else Subspace.full(n)
+    rows = [row for v in space.basis_rows() for row in alg.operator(v, "left")[0]]  # x -> v*x
+    return kernel(RatMatrix._of_rows(rows, alg.dim)) if rows else Subspace.full(alg.dim)
 
 
 # -- minimal principal one-sided ideals -------------------------------------
@@ -142,12 +138,9 @@ def _left_annihilated_by(alg: AlgebraPresentation, space: Subspace) -> Subspace:
 def principal_ideal(alg: AlgebraPresentation, a, side: str) -> Subspace:
     """Span of a*A (side='right') or A*a (side='left')."""
     coords = a.coords if isinstance(a, Element) else a
-    n = alg.dim
-    if side == "right":
-        vectors = [alg.multiply_coords(coords, unit_vec(n, i)) for i in range(n)]
-    else:
-        vectors = [alg.multiply_coords(unit_vec(n, i), coords) for i in range(n)]
-    return Subspace(n, vectors)
+    # a*A is spanned by the columns of L_a, A*a by those of R_a
+    rows, _ = alg.operator(coords, "left" if side == "right" else "right")
+    return Subspace(alg.dim, zip(*rows))
 
 
 def _probe_vectors(rows: List[tuple]) -> List[tuple]:
@@ -272,11 +265,7 @@ def brauer_idempotent(alg: AlgebraPresentation, ideal: IdealSpace):
     sol = solve(system, anchor)
     if sol is None:
         raise InternalInvariantError("Brauer solve failed on a certified minimal ideal")
-    e_coords = zero_vec(n)
-    for c, r in zip(sol, rows):
-        if c != 0:
-            e_coords = tuple(x + c * y for x, y in zip(e_coords, r))
-    e = alg.element(e_coords)
+    e = alg.element(combine(sol, rows, n))
     if e.is_zero() or (e * e) != e:
         raise InternalInvariantError("Brauer element failed idempotency")
     regenerated = principal_ideal(alg, e, side)
@@ -302,17 +291,21 @@ def pierce_decomposition(
     if (e * e) != e:
         raise NotIdempotent("pierce_decomposition requires e^2 = e")
     n = alg.dim
+    # integers over s^2, s the operators' scale: column i of L_e is s e e_i,
+    # column i of R_e is s e_i e, and R_e applied to s e e_i gives s^2 e e_i e
+    left, s = alg.operator(e.coords, "left")
+    right, _ = alg.operator(e.coords, "right")
     c11, c10, c01, c00 = [], [], [], []
-    for i in range(n):
-        x = unit_vec(n, i)
-        ex = alg.multiply_coords(e.coords, x)
-        xe = alg.multiply_coords(x, e.coords)
-        exe = alg.multiply_coords(ex, e.coords)
+    for i, (ex, xe) in enumerate(zip(zip(*left), zip(*right))):
+        exe = apply_rows(right, ex)
         c11.append(exe)
-        c10.append(tuple(a - b for a, b in zip(ex, exe)))
-        c01.append(tuple(a - b for a, b in zip(xe, exe)))
+        c10.append(tuple(s * a - b for a, b in zip(ex, exe)))
+        c01.append(tuple(s * a - b for a, b in zip(xe, exe)))
         c00.append(
-            tuple(x_i - ex_i - xe_i + exe_i for x_i, ex_i, xe_i, exe_i in zip(x, ex, xe, exe))
+            tuple(
+                (s * s if k == i else 0) - s * (ex_k + xe_k) + exe_k
+                for k, (ex_k, xe_k, exe_k) in enumerate(zip(ex, xe, exe))
+            )
         )
     return (
         Subspace(n, c11),

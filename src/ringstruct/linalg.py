@@ -16,6 +16,14 @@ that Gauss-Jordan over ``Fraction`` gives, entry for entry; the integer loop
 pays one gcd per row operation where ``Fraction`` pays one per entry.  A
 ``Subspace`` keeps the basis rows and pivot columns that ``_rref_rows``
 returns, so membership, coordinates and reduction never rescan for pivots.
+
+Rows may hold ``int`` entries next to ``Fraction`` ones: ``_rref_rows``
+reads both, ``Subspace(...)`` and ``contains`` take them as they are (any
+other type still goes through :func:`vec`; ``reduce`` and ``coords_of``
+return ``Fraction`` tuples, so they coerce), and a matrix for
+``solve`` or ``kernel_basis`` may be built from integer rows with
+``RatMatrix._of_rows``.  This is how the regular representation's integer
+operators reach the kernel without a round trip through ``Fraction``.
 """
 
 from __future__ import annotations
@@ -73,6 +81,29 @@ def vec(values: Iterable) -> tuple:
     return tuple(rat(v) for v in values)
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def _exact(values: Iterable) -> tuple:
+    """``values`` as a tuple, coerced by :func:`vec` unless every entry is an int or Fraction."""
+    v = tuple(values)
+    return v if _EXACT_TYPES.issuperset(map(type, v)) else vec(v)
+
+
+def combine(coeffs: Sequence, rows: Sequence[Sequence], n: int) -> tuple:
+    """``sum_k coeffs[k] * rows[k]`` in Q^n, skipping zero coefficients and entries."""
+    acc = [ZERO] * n
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = [a + c * b if b else a for a, b in zip(acc, row)]
+    return tuple(acc)
+
+
+def apply_rows(rows: Sequence[Sequence], v: Sequence) -> tuple:
+    """The matrix with these rows applied to the column ``v``."""
+    return tuple(sum(a * b for a, b in zip(row, v) if b) for row in rows)
+
+
 def zero_vec(n: int) -> tuple:
     return (ZERO,) * n
 
@@ -123,7 +154,7 @@ class RatMatrix:
 
     @classmethod
     def _of_rows(cls, row_list: Sequence[tuple], cols: int) -> "RatMatrix":
-        """Matrix of rows that are already Fraction tuples of length ``cols``."""
+        """Matrix of rows of length ``cols`` whose entries are already Fractions or ints."""
         m = object.__new__(cls)
         m.rows = len(row_list)
         m.cols = cols
@@ -279,7 +310,7 @@ class Subspace:
         self.ambient_dim = ambient_dim
         rows = []
         for v in vectors:
-            v = vec(v)
+            v = _exact(v)
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector length does not match ambient dimension")
             rows.append(v)
@@ -319,7 +350,7 @@ class Subspace:
         return self._remainder(vec(v))
 
     def contains(self, v: Sequence) -> bool:
-        return not any(self._remainder(vec(v)))
+        return not any(self._remainder(_exact(v)))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other._rows)
@@ -357,13 +388,7 @@ class Subspace:
             ],
             r + s,
         )
-        vectors = []
-        for k in kernel_basis(coeff):
-            w = [ZERO] * self.ambient_dim
-            for c, u in zip(k, u_rows):
-                if c:
-                    w = [a + c * b if b else a for a, b in zip(w, u)]
-            vectors.append(w)
+        vectors = [combine(k, u_rows, self.ambient_dim) for k in kernel_basis(coeff)]
         return Subspace(self.ambient_dim, vectors)
 
     def complement_in(self, other: "Subspace") -> "Subspace":

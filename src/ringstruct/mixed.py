@@ -103,7 +103,12 @@ class MixedRing:
         if self.torsion_rank < 0:
             raise ValidationError("torsion rank must be nonnegative")
         table: Dict[Tuple[int, int], tuple] = {}
+        order = finite_part.order
         for (i, j), value in (cross or {}).items():
+            if not (0 <= i < order and 0 <= j < order):
+                raise ValidationError(
+                    f"cross table key ({i},{j}) is outside the finite part 0..{order - 1}"
+                )
             row = tuple(_mod1(rat(x)) for x in value)
             if len(row) != self.torsion_rank:
                 raise ValidationError("cross table row has wrong torsion rank")
@@ -127,17 +132,10 @@ class MixedRing:
         """
         F = self.finite_part
         n, add, mul = F.order, F.add, F.mul
-        # no product reads an entry keyed outside the finite part, and a
-        # negative key would wrap around in numpy
-        table = {
-            key: row
-            for key, row in self.cross.items()
-            if 0 <= key[0] < n and 0 <= key[1] < n
-        }
-        D = math.lcm(*(x.denominator for row in table.values() for x in row))
+        D = math.lcm(*(x.denominator for row in self.cross.values() for x in row))
         dtype = np.int64 if D < 1 << 62 else object
         C = np.zeros((n, n, self.torsion_rank), dtype=dtype)
-        for (i, j), row in table.items():
+        for (i, j), row in self.cross.items():
             C[i, j] = [x.numerator * (D // x.denominator) for x in row]
         laws = (
             # cross(i+j, k) == cross(i, k) + cross(j, k)

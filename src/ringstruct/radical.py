@@ -11,7 +11,6 @@ section with an exact cocycle solve at each stage.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .algebra import (
@@ -31,10 +30,10 @@ from .linalg import (
     ZERO,
     RatMatrix,
     Subspace,
+    combine,
     is_zero_vec,
     kernel,
     solve,
-    unit_vec,
     zero_vec,
 )
 
@@ -142,27 +141,23 @@ def _quotient_annihilator(alg: AlgebraPresentation, ideal: Subspace) -> Subspace
     n = alg.dim
     rows = []
     for i in range(n):
-        e = unit_vec(n, i)
-        for producer in (
-            lambda x: alg.multiply_coords(x, e),
-            lambda x: alg.multiply_coords(e, x),
-        ):
-            cols = [ideal.reduce(producer(unit_vec(n, j))) for j in range(n)]
-            rows.extend([[cols[j][k] for j in range(n)] for k in range(n)])
-    return kernel(RatMatrix.from_rows(rows)) if rows else Subspace.full(n)
+        for side in ("right", "left"):  # x -> x e_i, then x -> e_i x
+            cols = [ideal.reduce(col) for col in zip(*alg.operator(i, side)[0])]
+            rows.extend(zip(*cols))
+    return kernel(RatMatrix._of_rows(rows, n)) if rows else Subspace.full(n)
 
 
 # -- Jacobson radical ------------------------------------------------------
 
 
-def _left_mult_traces(alg: AlgebraPresentation) -> List[Fraction]:
-    """tau_i = trace of left multiplication by e_i."""
-    taus = []
-    for i in range(alg.dim):
-        tau = ZERO
-        for j in range(alg.dim):
-            tau += alg.basis_product(i, j)[j]
-        taus.append(tau)
+def _left_mult_traces(alg: AlgebraPresentation) -> List[int]:
+    """D tau_i, with tau_i = sum_j c_{ijj} the trace of left multiplication by
+    e_i and D the denominator of the presentation's integer table."""
+    taus = [0] * alg.dim
+    for (i, j), sparse in alg._int_table.items():
+        for k, c in sparse:
+            if k == j:
+                taus[i] += c
     return taus
 
 
@@ -182,22 +177,14 @@ def jacobson_radical(alg: AlgebraPresentation, _verify: bool = True) -> IdealSpa
     if n == 0:
         return IdealSpace(alg, Subspace.zero(0), "two-sided")
     taus = _left_mult_traces(alg)
-
-    def trace_of(coords) -> Fraction:
-        return sum((coords[i] * taus[i] for i in range(n)), ZERO)
-
-    # Gram rows: index 0 is the adjoined unity u, indices 1..n are e_i.
-    # t(u, u) = n + 1, t(u, e_j) = tau_j, t(e_i, e_j) = trace(L_{e_i e_j}).
-    gram_cols = []  # columns restricted to the A block (unknowns x in A)
-    for alpha in range(n + 1):
-        row = []
-        for j in range(n):
-            if alpha == 0:
-                row.append(taus[j])
-            else:
-                row.append(trace_of(alg.basis_product(alpha - 1, j)))
-        gram_cols.append(row)
-    space = kernel(RatMatrix.from_rows(gram_cols))
+    # Gram rows, restricted to the A block (unknowns x in A): row 0 is the
+    # adjoined unity u, with t(u, e_j) = tau_j; row 1 + a is e_a, with
+    # t(e_a, e_j) = trace(L_{e_a e_j}) = sum_k c_{ajk} tau_k over the nonzeros
+    # of (a, j).  Rows carry the scales D and D^2, which the kernel ignores.
+    gram = [taus] + [[0] * n for _ in range(n)]
+    for (a, j), sparse in alg._int_table.items():
+        gram[a + 1][j] = sum(c * taus[k] for k, c in sparse)
+    space = kernel(RatMatrix._of_rows(gram, n))
     radical = IdealSpace(alg, space, "two-sided")
     if _verify:
         _verify_radical(alg, radical)
@@ -273,9 +260,7 @@ def quotient_algebra(
     constants = {}
     for a in range(d):
         for b in range(d):
-            prod = alg.multiply_coords(
-                unit_vec(n, complement_coords[a]), unit_vec(n, complement_coords[b])
-            )
+            prod = alg.basis_product(complement_coords[a], complement_coords[b])
             reduced = space.reduce(prod)
             coords = tuple(reduced[c] for c in complement_coords)
             if not is_zero_vec(coords):
@@ -390,7 +375,7 @@ def _solve_correction(alg, sigma, nbasis, struct, defect, N2: Subspace):
                 for t in range(n):
                     if rv[t] != 0:
                         coeff_rows[t][unk(i, m)] -= rv[t]
-            target = _dense_defect(defect[(i, j)], nbasis, n)
+            target = combine(defect[(i, j)], nbasis, n)
             # reduce both sides modulo N2 coordinates
             for t_row, t_val in zip(_reduce_rows_mod(coeff_rows, N2), N2.reduce(target)):
                 if any(x != 0 for x in t_row) or t_val != 0:
@@ -402,23 +387,7 @@ def _solve_correction(alg, sigma, nbasis, struct, defect, N2: Subspace):
     sol = solve(RatMatrix.from_rows(rows), rhs)
     if sol is None:
         raise InternalInvariantError("complement correction system is inconsistent")
-    tau_rows = []
-    for k in range(d_b):
-        acc = [ZERO] * n
-        for m in range(d_n):
-            c = sol[unk(k, m)]
-            if c != 0:
-                acc = [a + c * b for a, b in zip(acc, nbasis[m])]
-        tau_rows.append(tuple(acc))
-    return tau_rows
-
-
-def _dense_defect(g_coeffs, nbasis, n):
-    acc = [ZERO] * n
-    for m, c in enumerate(g_coeffs):
-        if c != 0:
-            acc = [a + c * b for a, b in zip(acc, nbasis[m])]
-    return tuple(acc)
+    return [combine(sol[k * d_n : (k + 1) * d_n], nbasis, n) for k in range(d_b)]
 
 
 def _reduce_rows_mod(coeff_rows, space: Subspace):

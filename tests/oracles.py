@@ -10,10 +10,23 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ringstruct.algebra import AlgebraPresentation
-from ringstruct.documents import AlgebraDocument, algebra_document
-from ringstruct.linalg import RatMatrix, Subspace, solve
+from ringstruct.documents import AlgebraDocument, algebra_document, to_object
+from ringstruct.generators import (
+    annihilator_gap,
+    base_field,
+    direct_sum,
+    matrix_algebra,
+    null_ring,
+    quaternion,
+    relabel,
+    square_cocycle,
+    strictly_upper,
+    upper_triangular,
+)
+from ringstruct.linalg import RatMatrix, Subspace, kernel, solve, unit_vec, vec_sub
 
 F = Fraction
 
@@ -412,3 +425,187 @@ def rebase_document(doc: AlgebraDocument, rng: random.Random) -> AlgebraDocument
             if any(in_e):
                 constants[(i, j)] = reference_solve(transpose, dim, in_e)
     return algebra_document(f"{doc.name}~rebased", dim, constants, labels=labels)
+
+
+# The regular representation built from unit vectors, one ``multiply_coords``
+# call per column: the reference for the integer operator core.
+
+
+def reference_left_mult_matrix(alg, x):
+    """Matrix of v -> x*v over the basis (columns are images of e_j)."""
+    cols = [alg.multiply_coords(x, unit_vec(alg.dim, j)) for j in range(alg.dim)]
+    return RatMatrix.from_rows([[cols[j][k] for j in range(alg.dim)] for k in range(alg.dim)])
+
+
+def reference_right_mult_matrix(alg, x):
+    cols = [alg.multiply_coords(unit_vec(alg.dim, j), x) for j in range(alg.dim)]
+    return RatMatrix.from_rows([[cols[j][k] for j in range(alg.dim)] for k in range(alg.dim)])
+
+
+def reference_annihilators(alg, elements):
+    """(Ann_1, Ann_2, their intersection) of coordinate vectors, as subspaces."""
+    n = alg.dim
+    left_rows, right_rows = [], []
+    for x in elements:
+        left_rows.extend(reference_right_mult_matrix(alg, x).row_list())
+        right_rows.extend(reference_left_mult_matrix(alg, x).row_list())
+    ann1 = kernel(RatMatrix.from_rows(left_rows)) if left_rows else Subspace.full(n)
+    ann2 = kernel(RatMatrix.from_rows(right_rows)) if right_rows else Subspace.full(n)
+    return ann1, ann2, ann1.intersect(ann2)
+
+
+def _reference_commutator_rows(alg, a):
+    """Rows of x -> x a - a x, built from the products with unit vectors."""
+    n = alg.dim
+    diff_cols = [
+        vec_sub(
+            alg.multiply_coords(unit_vec(n, j), a),
+            alg.multiply_coords(a, unit_vec(n, j)),
+        )
+        for j in range(n)
+    ]
+    return [[diff_cols[j][k] for j in range(n)] for k in range(n)]
+
+
+def reference_centralizer(alg, a):
+    return kernel(RatMatrix.from_rows(_reference_commutator_rows(alg, a)))
+
+
+def reference_center(alg):
+    n = alg.dim
+    rows = [r for i in range(n) for r in _reference_commutator_rows(alg, unit_vec(n, i))]
+    return kernel(RatMatrix.from_rows(rows)) if rows else Subspace.zero(0)
+
+
+def reference_find_unity(alg):
+    n = alg.dim
+    if n == 0:
+        return None
+    rows, rhs = [], []
+    for i in range(n):
+        e = unit_vec(n, i)
+        rows.extend(reference_right_mult_matrix(alg, e).row_list())
+        rhs.extend(e)
+        rows.extend(reference_left_mult_matrix(alg, e).row_list())
+        rhs.extend(e)
+    return solve(RatMatrix.from_rows(rows), rhs)
+
+
+def reference_principal_ideal(alg, a, side):
+    """Span of a*A (side 'right') or A*a (side 'left')."""
+    n = alg.dim
+    if side == "right":
+        vectors = [alg.multiply_coords(a, unit_vec(n, i)) for i in range(n)]
+    else:
+        vectors = [alg.multiply_coords(unit_vec(n, i), a) for i in range(n)]
+    return Subspace(n, vectors)
+
+
+def reference_pierce(alg, e):
+    """Images of x -> exe, ex - exe, xe - exe and x - ex - xe + exe."""
+    n = alg.dim
+    c11, c10, c01, c00 = [], [], [], []
+    for i in range(n):
+        x = unit_vec(n, i)
+        ex = alg.multiply_coords(e, x)
+        xe = alg.multiply_coords(x, e)
+        exe = alg.multiply_coords(ex, e)
+        c11.append(exe)
+        c10.append(tuple(a - b for a, b in zip(ex, exe)))
+        c01.append(tuple(a - b for a, b in zip(xe, exe)))
+        c00.append(tuple(p - q - r + t for p, q, r, t in zip(x, ex, xe, exe)))
+    return tuple(Subspace(n, c) for c in (c11, c10, c01, c00))
+
+
+def reference_jacobson_space(alg):
+    """Kernel of the A block of the trace form's Gram matrix on the unitization."""
+    n = alg.dim
+    if n == 0:
+        return Subspace.zero(0)
+    taus = [sum((alg.basis_product(i, j)[j] for j in range(n)), F(0)) for i in range(n)]
+
+    def trace_of(coords):
+        return sum((coords[i] * taus[i] for i in range(n)), F(0))
+
+    gram = [taus] + [
+        [trace_of(alg.basis_product(a, j)) for j in range(n)] for a in range(n)
+    ]
+    return kernel(RatMatrix.from_rows(gram))
+
+
+def reference_ideal_violation(alg, space, sidedness):
+    """The message ``IdealSpace`` raises for this subspace, or None."""
+    rows, n = space.basis_rows(), alg.dim
+    if sidedness in ("left", "two-sided"):
+        for i in range(n):
+            for r in rows:
+                if not space.contains(alg.multiply_coords(unit_vec(n, i), r)):
+                    return "subspace is not a left ideal"
+    if sidedness in ("right", "two-sided"):
+        for i in range(n):
+            for r in rows:
+                if not space.contains(alg.multiply_coords(r, unit_vec(n, i))):
+                    return "subspace is not a right ideal"
+    if sidedness == "subring-only":
+        for r in rows:
+            for s in rows:
+                if not space.contains(alg.multiply_coords(r, s)):
+                    return "subspace is not multiplication-closed"
+    return None
+
+
+# Inputs for the operator-core properties: algebras in a random rational basis.
+
+OPERATOR_DOCUMENTS = [
+    matrix_algebra(2),
+    quaternion(-2, -3),
+    strictly_upper(3),
+    upper_triangular(3),
+    annihilator_gap(1),
+    square_cocycle(),
+    null_ring(2),
+    direct_sum([matrix_algebra(2), strictly_upper(2)]),
+    direct_sum([upper_triangular(2), relabel(quaternion(), "K2")]),
+    direct_sum([base_field(), relabel(null_ring(1), "K2")]),
+]
+
+exact_entries = st.one_of(
+    st.just(0),
+    st.integers(min_value=-3, max_value=3),
+    st.builds(F, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=9)),
+)
+
+
+def exact_vectors(n: int):
+    """Vectors of plain ints mixed with Fractions."""
+    return st.lists(exact_entries, min_size=n, max_size=n)
+
+
+def rescale(alg: AlgebraPresentation, d: Sequence) -> AlgebraPresentation:
+    """The same algebra in the basis ``f_i = d_i e_i``: ``c'_{ijk} = d_i d_j c_{ijk} / d_k``."""
+    n = alg.dim
+    constants = {}
+    for (i, j), sparse in alg.sparse_table().items():
+        dense = [F(0)] * n
+        for k, c in sparse:
+            dense[k] = d[i] * d[j] * c / d[k]
+        constants[(i, j)] = dense
+    return AlgebraPresentation(f"{alg.name}~scaled", n, constants, field_labels=alg.field_labels)
+
+
+@st.composite
+def operator_algebras(draw):
+    """A document of :data:`OPERATOR_DOCUMENTS`, in its standard basis or
+    rebased by :func:`rebase_document`, then possibly rescaled by nonzero
+    rationals so that the constants get denominators."""
+    doc = draw(st.sampled_from(OPERATOR_DOCUMENTS))
+    if draw(st.booleans()):
+        doc = rebase_document(doc, random.Random(draw(st.integers(0, 2**32))))
+    alg = to_object(doc)
+    if draw(st.booleans()):
+        scale = st.builds(
+            lambda p, q, sign: F(sign * p, q),
+            st.integers(1, 6), st.integers(1, 6), st.sampled_from((1, -1)),
+        )
+        alg = rescale(alg, draw(st.lists(scale, min_size=alg.dim, max_size=alg.dim)))
+    return alg

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ringstruct.algebra import (
     AlgebraPresentation,
     ElementClassification,
+    IdealSpace,
     annihilators,
     algebra_annihilator,
     center,
@@ -26,15 +27,27 @@ from ringstruct.generators import (
     quaternion,
     strictly_upper,
 )
+from ringstruct.idempotents import find_idempotent, pierce_decomposition, principal_ideal
 from ringstruct.linalg import RatMatrix, Subspace, solve, unit_vec
 
 from oracles import (
     algebra_from_matrices,
+    exact_vectors,
     full_matrices,
     mat_mul,
+    operator_algebras,
     quaternion_matrices,
+    reference_annihilators,
     reference_associativity_violation,
+    reference_center,
+    reference_centralizer,
+    reference_find_unity,
+    reference_ideal_violation,
+    reference_left_mult_matrix,
     reference_multiply,
+    reference_pierce,
+    reference_principal_ideal,
+    reference_right_mult_matrix,
     shared_socle_matrices,
     strictly_upper_matrices,
     upper_triangular_matrices,
@@ -432,3 +445,77 @@ def test_integer_kernel_on_dense_rebased_table():
     _assert_same_verdict(n, broken)
     with pytest.raises(AssociativityError):
         AlgebraPresentation("M3-broken", n, broken)
+
+
+# -- the integer operator core against the unit-vector reference ---------------
+
+operator_settings = settings(max_examples=60, deadline=None)
+
+
+@operator_settings
+@given(operator_algebras(), st.data())
+def test_mult_matrices_match_unit_vector_reference(alg, data):
+    x = data.draw(exact_vectors(alg.dim))
+    for view, reference in (
+        (alg.left_mult_matrix, reference_left_mult_matrix),
+        (alg.right_mult_matrix, reference_right_mult_matrix),
+    ):
+        matrix = view(x)
+        assert matrix == reference(alg, x)
+        assert all(type(c) is F for c in matrix.entries)
+    i = data.draw(st.integers(0, alg.dim - 1))
+    for side in ("left", "right"):
+        assert alg.operator(i, side) == alg.operator(unit_vec(alg.dim, i), side)
+
+
+@operator_settings
+@given(operator_algebras(), st.data())
+def test_stacked_kernels_match_unit_vector_reference(alg, data):
+    n = alg.dim
+    x = data.draw(exact_vectors(n))
+    assert center(alg).subspace == reference_center(alg)
+    assert centralizer(alg.element(x)).subspace == reference_centralizer(alg, x)
+    elements = data.draw(st.lists(exact_vectors(n), min_size=1, max_size=3))
+    spaces = annihilators([alg.element(v) for v in elements])
+    assert tuple(a.subspace for a in spaces) == reference_annihilators(alg, elements)
+    unity = find_unity(alg)
+    assert (unity.coords if unity is not None else None) == reference_find_unity(alg)
+    for side in ("left", "right"):
+        assert principal_ideal(alg, x, side) == reference_principal_ideal(alg, x, side)
+
+
+@operator_settings
+@given(operator_algebras())
+def test_pierce_corners_match_unit_vector_reference(alg):
+    idempotents = [e for e in (find_unity(alg), find_idempotent(alg)) if e is not None]
+    for e in idempotents:
+        assert pierce_decomposition(alg, e) == reference_pierce(alg, e.coords)
+
+
+@operator_settings
+@given(operator_algebras(), st.data())
+def test_ideal_check_matches_unit_vector_reference(alg, data):
+    n = alg.dim
+    # a one-sided ideal A x or x A, sometimes widened by arbitrary vectors
+    x = data.draw(exact_vectors(n))
+    ideal = principal_ideal(alg, x, data.draw(st.sampled_from(("left", "right"))))
+    extra = data.draw(st.lists(exact_vectors(n), max_size=2))
+    space = Subspace(n, ideal.basis_rows() + extra)
+    sidedness = data.draw(st.sampled_from(IdealSpace.SIDEDNESS))
+    expected = reference_ideal_violation(alg, space, sidedness)
+    try:
+        IdealSpace(alg, space, sidedness)
+    except ValidationError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+
+
+def test_ideal_check_reads_the_last_basis_index(t3):
+    # span{E12} is a left ideal of T3, and E12 * E23 = E13 is its only
+    # product with the basis that leaves it: the last basis element
+    space = Subspace(3, [unit_vec(3, 0)])
+    IdealSpace(t3, space, "left")
+    assert reference_ideal_violation(t3, space, "right") == "subspace is not a right ideal"
+    with pytest.raises(ValidationError, match="not a right ideal"):
+        IdealSpace(t3, space, "right")

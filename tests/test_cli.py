@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ringstruct.cli import EXIT_INTERNAL, EXIT_OK, EXIT_VALIDATION, main
-from ringstruct.documents import load_path, parse, to_object
+from ringstruct.documents import load_path, parse, serialize, to_object
 from ringstruct.reports import render, run_report
 from ringstruct.generators import generate
 
@@ -221,3 +225,38 @@ def test_finite_order_outside_cap_exits_1_before_rows(tmp_path, capsys, order):
     assert code == EXIT_VALIDATION
     assert out == ""
     assert err.startswith("error: ") and "1..256" in err and order in err
+
+
+def test_cross_keys_outside_the_finite_part_exit_1(tmp_path, capsys):
+    # an order-3 finite part: the keys (5, 5) and (-1, 0) name no element
+    doc = tmp_path / "z3q-bad.doc"
+    doc.write_text(
+        serialize(generate("z3q")).replace(
+            "torsion_rank 0\ncross\nend", "torsion_rank 1\ncross\n5 5 1/2\n-1 0 1/3\nend"
+        )
+    )
+    code, out, err = run_cli(capsys, "classify", str(doc))
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("error: ") and "cross table key" in err and "0..2" in err
+
+
+def test_radical_runs_without_loading_sympy(tmp_path):
+    # sympy only factors polynomials; a fresh interpreter that imports the
+    # package and computes a radical must not load it
+    doc = tmp_path / "utd3.alg"
+    doc.write_text(serialize(generate("utd", {"n": "3"})))
+    code = (
+        "import sys\n"
+        "import ringstruct\n"
+        "from ringstruct.cli import main\n"
+        f"assert main(['radical', {str(doc)!r}]) == 0\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert "radical" in result.stdout

@@ -8,6 +8,7 @@ from ringstruct.linalg import (
     RatMatrix,
     Subspace,
     _rref_rows,
+    combine,
     format_rat,
     kernel,
     kernel_basis,
@@ -317,3 +318,28 @@ def test_all_zero_and_empty_inputs():
     assert kernel_basis(RatMatrix(0, 2, [])) == [[1, 0], [0, 1]]
     assert solve(RatMatrix(2, 1, [0, 0]), [0, 0]) == (0,)
     assert solve(RatMatrix(2, 1, [0, 0]), [0, 1]) is None
+
+
+def test_subspace_takes_ints_as_they_are_and_coerces_other_types():
+    fractions = [[F(1, 2), F(0), F(3)], [F(0), F(1), F(-1, 3)]]
+    space = Subspace(3, fractions)
+    assert Subspace(3, [[F(1, 2), 0, 3], [0, 1, F(-1, 3)]]) == space
+    assert Subspace(3, [["1/2", "0", "3"], ["0", 1, "-1/3"]]) == space
+    assert space.contains([1, 2, 6 - F(2, 3)]) and space.contains(["1", "2", "16/3"])
+    assert not space.contains([1, 2, 5]) and not space.contains(["1", "2", "5"])
+    assert space.reduce(["1", "2", "5"]) == space.reduce([1, 2, 5]) == (0, 0, F(-1, 3))
+
+
+@kernel_settings
+@given(row_stacks(), st.data())
+def test_int_entries_give_the_subspace_of_their_fractions(stack, data):
+    n, rows = stack
+    as_fractions = [[F(x) for x in r] for r in rows]
+    space = Subspace(n, rows)
+    assert space == Subspace(n, as_fractions)
+    v = in_span_or_not(data.draw, n, rows)
+    assert space.contains(v) == space.contains([F(x) for x in v])
+    coeffs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    assert combine(coeffs, rows, n) == tuple(
+        sum((F(c) * F(r[j]) for c, r in zip(coeffs, rows)), F(0)) for j in range(n)
+    )

@@ -181,3 +181,9 @@ def test_cross_check_with_huge_denominator():
     assert expected == "cross table is not additive on the left"
     with pytest.raises(ValidationError, match=expected):
         MixedRing("huge", zmod(2), to_object(base_field()), 1, cross)
+
+
+def test_cross_keys_outside_the_finite_part_are_rejected():
+    for key in ((3, 0), (0, 3), (-1, 0), (5, 5)):
+        with pytest.raises(ValidationError, match=rf"cross table key \({key[0]},{key[1]}\)"):
+            MixedRing("z3t", zmod(3), to_object(base_field()), 1, {key: [F(1, 2)]})

@@ -32,7 +32,7 @@ from ringstruct.radical import (
 from ringstruct.reports import run_report
 from ringstruct.verification import verify_radical_report, verify_unitize_report
 
-from oracles import rebase_document
+from oracles import operator_algebras, rebase_document, reference_jacobson_space
 
 
 @pytest.fixture(scope="module")
@@ -346,3 +346,9 @@ def test_radical_complement_in_random_basis(base, seed):
             )
     verify_radical_report(a, run_report(doc, "radical"))
     verify_unitize_report(a, run_report(doc, "unitize"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(operator_algebras())
+def test_trace_form_radical_matches_unit_vector_reference(alg):
+    assert jacobson_radical(alg).subspace == reference_jacobson_space(alg)
