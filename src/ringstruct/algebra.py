@@ -575,6 +575,11 @@ def _power_chain(alg: AlgebraPresentation, k: int) -> List[Subspace]:
 
 def product_span(alg: AlgebraPresentation, u: Subspace, v: Subspace) -> Subspace:
     """Span of all products x*y with x in u, y in v."""
+    if u.dim == alg.dim:
+        # A*v is spanned by the columns of R_b, one operator per basis row b of v
+        return Subspace(
+            alg.dim, [col for b in v.basis_rows() for col in zip(*alg.operator(b, "right")[0])]
+        )
     products = [
         alg.multiply_coords(a, b) for a in u.basis_rows() for b in v.basis_rows()
     ]

@@ -1,17 +1,23 @@
-"""Semisimple structure, division-corner recognition, classification, unitization.
+"""Semisimple structure, certified division corners, classification, unitization.
 
 A semiprime algebra splits into simple two-sided ideals cut out by the
-primitive idempotents of its center; inside each simple factor, peeling
-minimal left ideals with Brauer's lemma produces the primitive orthogonal
-idempotents, the matrix degree, and the division corner.  The classifier
-assembles the whole verdict: annihilator factor, per-label algebra factors,
-radical, semisimple data, and unitality.
+primitive idempotents of its center.  Inside each simple factor the unity is
+split corner by corner: a zero divisor y of the corner eAe (found through
+minimal polynomials, or as an isotropic vector of the quaternion norm form)
+gives the idempotent f = yz with yzy = y, and e splits into f and e - f.  A
+corner that cannot split carries a certificate that it is a division algebra:
+dimension 1, an irreducible minimal polynomial of full degree, or an
+anisotropic norm form.  The number of primitive idempotents is the matrix
+degree and their corner is the division algebra.  The classifier assembles
+the whole verdict: annihilator factor, per-label algebra factors, radical,
+semisimple data, and unitality.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
     AlgebraPresentation,
@@ -20,10 +26,8 @@ from .algebra import (
     algebra_annihilator,
     center,
     find_unity,
-    classify_element,
     generated_subring,
     product_span,
-    ElementClassification,
 )
 from .errors import (
     InternalInvariantError,
@@ -46,15 +50,7 @@ from .linalg import (
     unit_vec,
     vec_add,
 )
-from .idempotents import (
-    brauer_idempotent,
-    minimal_one_sided_ideal,
-    pierce_decomposition,
-    principal_ideal,
-    NullSquare,
-    _certify_minimal,
-    _probe_vectors,
-)
+from .idempotents import principal_ideal
 from .radical import (
     _left_mult_traces,
     element_nilpotency,
@@ -104,6 +100,7 @@ class SimpleFactorReport:
         "field_label",
         "central_idempotent",
         "primitive_idempotents",
+        "division_certificate",
     )
 
     def __init__(
@@ -115,11 +112,14 @@ class SimpleFactorReport:
         field_label: str,
         central_idempotent: Element,
         primitive_idempotents: List[Element],
+        division_certificate: "DivisionCertificate",
     ):
         if ideal.dim != matrix_degree * matrix_degree * division_dim:
             raise InternalInvariantError(
                 "simple factor dimension must equal degree^2 * division dimension"
             )
+        if division_certificate.dim != division_dim:
+            raise InternalInvariantError("division certificate is for a corner of another dimension")
         self.ideal = ideal
         self.matrix_degree = matrix_degree
         self.division_dim = division_dim
@@ -127,11 +127,39 @@ class SimpleFactorReport:
         self.field_label = field_label
         self.central_idempotent = central_idempotent
         self.primitive_idempotents = primitive_idempotents
+        self.division_certificate = division_certificate
 
     def __repr__(self):
         return (
             f"SimpleFactorReport(M_{self.matrix_degree}, division_dim={self.division_dim}, "
             f"{self.division_type}, label={self.field_label})"
+        )
+
+
+class DivisionCertificate:
+    """Why the corner pAp of a primitive idempotent p is a division algebra.
+
+    ``kind`` is LINE (the corner is the line through p), FIELD (the corner
+    element ``elements[0]`` has the irreducible minimal polynomial
+    ``coefficients``, low to high, of degree ``dim``, so the corner is the
+    field it generates) or NORM_FORM (the three ``elements`` span the trace-zero
+    part, anticommute and square to ``coefficients[a] * p``, and the ternary
+    form sum coefficients[a] x_a^2 has no rational zero).  Elements are
+    coordinate vectors of the algebra the certificate was made in; ``mapped``
+    carries them into a larger one.
+    """
+
+    __slots__ = ("kind", "dim", "elements", "coefficients")
+
+    def __init__(self, kind: str, dim: int, elements: List[tuple], coefficients: List[Fraction]):
+        self.kind = kind
+        self.dim = dim
+        self.elements = elements
+        self.coefficients = coefficients
+
+    def mapped(self, embed) -> "DivisionCertificate":
+        return DivisionCertificate(
+            self.kind, self.dim, [embed(v) for v in self.elements], self.coefficients
         )
 
 
@@ -215,22 +243,19 @@ def minimal_polynomial(alg: AlgebraPresentation, x: Element, unity: Element) -> 
     raise InternalInvariantError("no minimal polynomial within dimension bound")
 
 
-def _factor_rational_poly(poly: List[Fraction]) -> List[List[Fraction]]:
-    """Irreducible monic factors over Q, canonically ordered."""
-    import sympy  # imported here, its only use: loading it costs every run that never factors
+def _factor_rational_poly(poly: List[Fraction]) -> List[Tuple[List[Fraction], int]]:
+    """Irreducible monic factors over Q with their multiplicities, canonically ordered."""
+    import sympy  # imported here: loading it costs every run that never factors
 
     t = sympy.Symbol("t")
     expr = sum(sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(poly))
     _, factors = sympy.factor_list(sympy.Poly(expr, t, domain="QQ"))
     out = []
     for fac, mult in factors:
-        if mult != 1:
-            raise InternalInvariantError("minimal polynomial of a semisimple element not squarefree")
         coeffs = [rat(sympy.Rational(c)) for c in reversed(sympy.Poly(fac, t).all_coeffs())]
         lead = coeffs[-1]
-        coeffs = [c / lead for c in coeffs]
-        out.append(coeffs)
-    out.sort(key=lambda f: (len(f), [str(c) for c in f]))
+        out.append(([c / lead for c in coeffs], mult))
+    out.sort(key=lambda f: (len(f[0]), [str(c) for c in f[0]], f[1]))
     return out
 
 
@@ -340,10 +365,12 @@ def central_primitive_idempotents(alg: AlgebraPresentation) -> List[Element]:
         return [unity]
     z, mu = _primitive_element(zalg, zunity)
     factors = _factor_rational_poly(mu)
+    if any(mult != 1 for _, mult in factors):
+        raise InternalInvariantError("minimal polynomial of a semisimple element not squarefree")
     if len(factors) == 1:
         return [unity]
     idems = []
-    for f in factors:
+    for f, _ in factors:
         g, rem = _poly_divmod(mu, f)
         if rem:
             raise InternalInvariantError("factor does not divide the minimal polynomial")
@@ -365,63 +392,244 @@ def central_primitive_idempotents(alg: AlgebraPresentation) -> List[Element]:
     return idems
 
 
-# -- semisimple decomposition -------------------------------------------------
+# -- certified corner splitting -----------------------------------------------
 
 
-def _peel_primitive_idempotents(factor: AlgebraPresentation, unity: Element) -> List[Element]:
-    """Primitive orthogonal idempotents of a unital simple algebra, summing to 1.
+LINE = "line"
+FIELD = "field"
+NORM_FORM = "norm_form"
 
-    Peels minimal left ideals: Brauer gives an idempotent generator, the
-    left Pierce complement J = {x - x e} carries the remainder, and the next
-    generator is orthogonalized by f -> f - (sum e) f.
+
+def _primitive_idempotent(alg: AlgebraPresentation, e: Element) -> Tuple[Element, DivisionCertificate]:
+    """A primitive idempotent under the idempotent e of a semisimple algebra, with
+    the certificate that its corner is a division algebra.
+
+    The corner C = eAe is split while it has a zero divisor y: C is
+    semisimple, hence von Neumann regular, so yzy = y has a solution z in C
+    and f = yz is an idempotent with 0 != f != e.  The search goes on inside
+    the smaller of the corners of f and e - f.
     """
-    prims: List[Element] = []
-    esum = factor.zero_element()
-    n = factor.dim
-    while esum != unity:
-        if not prims:
-            ideal = minimal_one_sided_ideal(factor, "left")
-        else:
-            remainder_rows = []
-            for i in range(n):
-                x = factor.basis_element(i)
-                remainder_rows.append((x - x * esum).coords)
-            remainder = Subspace(n, remainder_rows)
-            if remainder.is_zero():
-                raise InternalInvariantError("primitive peel exhausted before reaching unity")
-            space = None
-            for v in _probe_vectors(remainder.basis_rows()):
-                if is_zero_vec(v):
-                    continue
-                cand = principal_ideal(factor, factor.element(v), "left")
-                if cand.dim == 0:
-                    continue
-                if space is None or cand.dim < space.dim:
-                    space = cand
-            changed = True
-            while changed:
-                changed = False
-                for v in _probe_vectors(space.basis_rows()):
-                    if is_zero_vec(v):
-                        continue
-                    sub = principal_ideal(factor, factor.element(v), "left")
-                    if 0 < sub.dim < space.dim:
-                        space = sub
-                        changed = True
-                        break
-            _certify_minimal(factor, space, "left")
-            ideal = IdealSpace(factor, space, "left")
-        raw = brauer_idempotent(factor, ideal)
-        if isinstance(raw, NullSquare):
-            raise InternalInvariantError("minimal left ideal of a semiprime factor squared to zero")
-        e_next = raw - esum * raw
-        if e_next.is_zero() or (e_next * e_next) != e_next:
-            raise InternalInvariantError("orthogonalized idempotent invalid")
-        prims.append(e_next)
-        esum = esum + e_next
-        if len(prims) > n:
-            raise InternalInvariantError("primitive peel did not terminate")
-    return prims
+    space = Subspace(alg.dim, _corner_products(alg, e, e)[0])
+    if space.dim == 1:
+        return e, DivisionCertificate(LINE, 1, [], [])
+    if space.dim == alg.dim:
+        corner, embed, unity = alg, tuple, e
+    else:
+        corner, embed, restrict = alg.subalgebra(space, name=f"{alg.name}|e")
+        unity = corner.element(restrict(e.coords))
+    found = _certify_or_split(corner, unity)
+    if isinstance(found, DivisionCertificate):
+        return e, found.mapped(embed)
+    f = _idempotent_through(corner, found, unity)
+    part = min(
+        (f, unity - f),
+        key=lambda g: Subspace(corner.dim, _corner_products(corner, g, g)[0]).dim,
+    )
+    p, certificate = _primitive_idempotent(corner, part)
+    return alg.element(embed(p.coords)), certificate.mapped(embed)
+
+
+def _diagonal_idempotents(alg: AlgebraPresentation, p: Element, unity: Element) -> List[Element]:
+    """Primitive orthogonal idempotents of a simple algebra summing to the unity,
+    starting with its primitive idempotent p.
+
+    The minimal left ideal L = Ap is a right vector space over D = pAp, and A
+    acts on it as all of End_D(L).  Take l_1 = p and l_2, ..., l_m from the
+    canonical basis of (1 - p)Ap until the l_k D span L; then e_i is the one
+    element with e_i l_k = l_k for k = i and 0 otherwise.  e_1 = p, since
+    p(1 - p) = 0.
+    """
+    n = alg.dim
+    division = Subspace(n, _corner_products(alg, p, p)[0]).basis_rows()
+    chosen = [p.coords]
+    span = Subspace(n, division)  # l_1 D = pAp
+    for v in Subspace(n, _corner_products(alg, unity - p, p)[0]).basis_rows():
+        if not span.contains(v):
+            chosen.append(v)
+            span = span.add(Subspace(n, [alg.multiply_coords(v, d) for d in division]))
+    # a -> (a l_1, ..., a l_m), stacked
+    operators = [alg.operator(l, "right") for l in chosen]
+    system = RatMatrix._of_rows([row for rows, _ in operators for row in rows], n)
+    members = []
+    for i in range(len(chosen)):
+        rhs = [
+            s * c if k == i else 0
+            for k, (l, (_, s)) in enumerate(zip(chosen, operators))
+            for c in l
+        ]
+        e = solve(system, rhs)
+        if e is None:
+            raise InternalInvariantError("no element acts as a diagonal idempotent on a minimal left ideal")
+        members.append(alg.element(e))
+    if members[0] != p or sum(members[1:], p) != unity:
+        raise InternalInvariantError("diagonal idempotents of a minimal left ideal do not sum to the unity")
+    return members
+
+
+def _idempotent_through(corner: AlgebraPresentation, y: Element, unity: Element) -> Element:
+    """f = yz for a solution z of yzy = y: an idempotent with 0 != f != unity."""
+    left, s = corner.operator(y.coords, "left")
+    right, _ = corner.operator(y.coords, "right")
+    # column k of R_y L_y is s^2 y e_k y
+    columns = [apply_rows(right, col) for col in zip(*left)]
+    z = solve(RatMatrix._of_rows(list(zip(*columns)), corner.dim), [s * s * c for c in y.coords])
+    if z is None:
+        raise InternalInvariantError("yzy = y has no solution in a corner of a semisimple algebra")
+    f = y * corner.element(z)
+    if f.is_zero() or f == unity or (f * f) != f:
+        raise InternalInvariantError("zero divisor gave no proper idempotent")
+    return f
+
+
+def _certify_or_split(corner: AlgebraPresentation, unity: Element) -> Union[DivisionCertificate, Element]:
+    """A certificate that the unital corner is a division algebra, or a zero divisor of it.
+
+    In order: a basis element x with mu_x(0) = 0 is a zero divisor, and so is
+    g(x) for an irreducible factor g of a reducible mu_x; an irreducible mu_x
+    of full degree makes the corner a field; a commutative corner is a field
+    or splits by the minimal polynomial of a primitive element; a quaternion
+    corner is a division algebra exactly when its norm form has no rational
+    zero.  Past these, quotients u^-1 v of basis elements are scanned like
+    the basis: s u + t v is a zero divisor where -s/t is a rational
+    eigenvalue of u^-1 v.  Anything else raises, naming the missing
+    certificate (over Q, finding zero divisors is as hard as factoring in
+    general).
+    """
+    d = corner.dim
+    basis = [corner.basis_element(i) for i in range(d)]
+    for x in basis:
+        found = _by_minimal_polynomial(corner, x, unity)
+        if found is not None:
+            return found
+    if _is_commutative(corner):
+        x, _ = _primitive_element(corner, unity)
+        found = _by_minimal_polynomial(corner, x, unity)
+        if found is not None:
+            return found
+        raise InternalInvariantError("primitive element of a commutative corner has a short minimal polynomial")
+    if d == 4:
+        return _by_norm_form(corner, unity)
+    for u in basis:
+        mu = minimal_polynomial(corner, u, unity)  # mu(0) != 0: u is a unit
+        inverse = _eval_poly(corner, [-c / mu[0] for c in mu[1:]], u, unity)
+        for v in basis:
+            found = None if v is u else _by_minimal_polynomial(corner, inverse * v, unity)
+            if found is not None:
+                return found
+    raise InternalInvariantError(
+        f"no division certificate for a corner of dim {d}: no basis element or quotient of "
+        "two has a reducible or full-degree minimal polynomial, and it is not a quaternion algebra"
+    )
+
+
+def _by_norm_form(corner: AlgebraPresentation, unity: Element) -> Union[DivisionCertificate, Element]:
+    """The NORM_FORM certificate of a 4-dim noncommutative corner, or an isotropic vector."""
+    form = _norm_form(corner, unity)
+    if form is None:
+        raise InternalInvariantError(
+            "no division certificate for a noncommutative corner of dim 4 without a norm form"
+        )
+    vectors, squares = form
+    zero = [ONE if q == 0 else ZERO for q in squares]
+    if not any(zero):
+        found = _conic_zero(squares)
+        if found is None:
+            return DivisionCertificate(NORM_FORM, 4, vectors, squares)
+        zero = found
+    v = corner.element(combine(zero, vectors, 4))
+    if v.is_zero() or not (v * v).is_zero():
+        raise InternalInvariantError("a zero of the norm form is not an isotropic vector")
+    return v
+
+
+def _by_minimal_polynomial(corner: AlgebraPresentation, x: Element, unity: Element):
+    """A zero divisor read off mu_x, the FIELD certificate when mu_x is irreducible
+    of full degree, or None."""
+    mu = minimal_polynomial(corner, x, unity)
+    if mu[0] == 0:
+        return x  # mu = t h(t) with h(x) != 0 and h(x) x = 0
+    if len(mu) == 2:
+        return None
+    factors = _factor_rational_poly(mu)
+    if len(factors) > 1 or factors[0][1] > 1:
+        return _eval_poly(corner, factors[0][0], x, unity)
+    if len(mu) - 1 == corner.dim:
+        return DivisionCertificate(FIELD, corner.dim, [x.coords], mu)
+    return None
+
+
+def _is_commutative(alg: AlgebraPresentation) -> bool:
+    return all(
+        alg.basis_product(i, j) == alg.basis_product(j, i)
+        for i in range(alg.dim)
+        for j in range(i + 1, alg.dim)
+    )
+
+
+def legendre_normal_form(coefficients: Sequence) -> Tuple[Tuple[int, ...], Tuple[Fraction, ...]]:
+    """Legendre normal form of the ternary form sum q_a x_a^2, all q_a nonzero rationals.
+
+    Returns ``(normal, scales)``: squarefree, pairwise coprime integers with
+    the property that X is a zero of sum normal_a X_a^2 exactly when
+    x_a = scales_a X_a is a zero of the given form.
+    """
+    from sympy import factorint  # imported here, like every use of sympy
+
+    q = [rat(c) for c in coefficients]
+    den = lcm(*(c.denominator for c in q))
+    a = [int(c * den) for c in q]
+    common = gcd(*a)
+    a = [x // common for x in a]
+    scales = [ONE] * 3
+
+    def drop_square(i):  # a_i x^2 = (a_i / s^2) (s x)^2
+        s = 1
+        for p, k in factorint(abs(a[i])).items():
+            s *= p ** (k // 2)
+        a[i] //= s * s
+        scales[i] /= s
+
+    for i in range(3):
+        drop_square(i)
+    changed = True
+    while changed:
+        changed = False
+        for i, j in ((0, 1), (1, 2), (0, 2)):
+            g = gcd(a[i], a[j])
+            if g > 1:  # times g: (a_i/g)(g x_i)^2 + (a_j/g)(g x_j)^2 + g a_k x_k^2
+                k = 3 - i - j
+                a[i], a[j], a[k] = a[i] // g, a[j] // g, a[k] * g
+                scales[i] /= g
+                scales[j] /= g
+                drop_square(k)
+                changed = True
+    return tuple(a), tuple(scales)
+
+
+def _conic_zero(coefficients: Sequence[Fraction]) -> Optional[Tuple[Fraction, ...]]:
+    """A nonzero rational zero of sum q_a x_a^2 (all q_a nonzero), or None when none exists.
+
+    Definite forms have none.  Otherwise the form is brought to Legendre
+    normal form before it reaches sympy's solver, which can answer wrongly
+    on other inputs; the zero it returns is checked.
+    """
+    if all(q > 0 for q in coefficients) or all(q < 0 for q in coefficients):
+        return None
+    from sympy import symbols
+    from sympy.solvers.diophantine.diophantine import diop_ternary_quadratic_normal
+
+    (a, b, c), scales = legendre_normal_form(coefficients)
+    x, y, z = symbols("x y z", integer=True)
+    solution = diop_ternary_quadratic_normal(a * x**2 + b * y**2 + c * z**2)
+    if solution[0] is None:
+        return None
+    zero = tuple(s * int(v) for s, v in zip(scales, solution))
+    if not any(zero) or sum(q * v * v for q, v in zip(coefficients, zero)) != 0:
+        raise InternalInvariantError("ternary form solver returned a non-solution")
+    return zero
+
+
+# -- semisimple decomposition -------------------------------------------------
 
 
 def semisimple_decompose(
@@ -431,8 +639,10 @@ def semisimple_decompose(
 
     Requires a nonzero semiprime algebra.  Central orthogonal idempotents
     c_1..c_k summing to 1 cut the algebra into simple ideals A c_i; within
-    each, the primitive orthogonal idempotents determine the matrix degree
-    and the division corner e_1 (A c_i) e_1.
+    each, splitting corners of c_i gives one primitive idempotent e_1 with a
+    certificate for its division corner e_1 (A c_i) e_1, and the minimal left
+    ideal (A c_i) e_1 gives the rest of the primitive orthogonal family, whose
+    size is the matrix degree.
     """
     if alg.dim == 0:
         raise ZeroAlgebra("cannot decompose the zero algebra")
@@ -448,22 +658,26 @@ def semisimple_decompose(
     flags: List[dict] = []
     total_dim = 0
     for c in centrals:
-        ideal_space = Subspace(n, zip(*alg.operator(c.coords, "right")[0]))  # A c
+        ideal_space = principal_ideal(alg, c, "left")  # A c
         ideal = IdealSpace(alg, ideal_space, "two-sided")
         sub, embed, restrict = alg.subalgebra(ideal_space, name=f"{alg.name}|c")
         sub_unity = sub.element(restrict(c.coords))
-        prims_sub = _peel_primitive_idempotents(sub, sub_unity)
-        prims = [alg.element(embed(p.coords)) for p in prims_sub]
-        corner11 = pierce_decomposition(sub, prims_sub[0])[0]
-        division_dim = corner11.dim
+        p, certificate = _primitive_idempotent(sub, sub_unity)
+        prims_sub = _diagonal_idempotents(sub, p, sub_unity)
+        division_dim = certificate.dim
         degree = len(prims_sub)
         if degree * degree * division_dim != sub.dim:
             raise InternalInvariantError("factor dimensions fail degree^2 * division_dim")
-        corner_alg, _, corner_restrict = sub.subalgebra(corner11, name=f"{alg.name}|D")
+        corner11 = Subspace(sub.dim, _corner_products(sub, prims_sub[0], prims_sub[0])[0])
+        corner_alg, _, _ = sub.subalgebra(corner11, name=f"{alg.name}|D")
         division_type = frobenius_type(corner_alg)
         label = _space_label(alg, ideal_space)
+        prims = [alg.element(embed(p.coords)) for p in prims_sub]
         factors.append(
-            SimpleFactorReport(ideal, degree, division_dim, division_type, label, c, prims)
+            SimpleFactorReport(
+                ideal, degree, division_dim, division_type, label, c, prims,
+                certificate.mapped(embed),
+            )
         )
         total_dim += sub.dim
         for p in prims:
@@ -496,9 +710,9 @@ def _is_central(alg: AlgebraPresentation, e: Element) -> bool:
 def corner_division_check(alg: AlgebraPresentation, e_i: Element, e_j: Element) -> str:
     """DIVISION / NULL / OTHER verdict for the corner e_i A e_j.
 
-    DIVISION requires e_i = e_j and every nonzero probe of the corner to be
-    a unit of the corner algebra; NULL means all pairwise products of a
-    corner basis vanish.
+    DIVISION requires e_i = e_j and a division certificate for the unital
+    corner algebra; a corner with a zero divisor (or without a unity) is
+    OTHER; NULL means all pairwise products of a corner basis vanish.
     """
     corner = Subspace(alg.dim, _corner_products(alg, e_i, e_j)[0])
     if corner.is_zero():
@@ -513,13 +727,12 @@ def corner_division_check(alg: AlgebraPresentation, e_i: Element, e_j: Element) 
     if e_i != e_j:
         return OTHER
     sub, _, _ = alg.subalgebra(corner, name=f"{alg.name}|corner")
-    for probe in _probe_vectors([unit_vec(sub.dim, i) for i in range(sub.dim)]):
-        if is_zero_vec(probe):
-            continue
-        cls = classify_element(sub.element(probe))
-        if cls.kind != ElementClassification.UNIT:
-            return OTHER
-    return DIVISION
+    unity = find_unity(sub)
+    if unity is None:
+        return OTHER
+    if sub.dim == 1 or isinstance(_certify_or_split(sub, unity), DivisionCertificate):
+        return DIVISION
+    return OTHER
 
 
 def _corner_products(alg: AlgebraPresentation, e: Element, f: Element) -> Tuple[List[tuple], int]:
@@ -557,32 +770,45 @@ def frobenius_type(division: AlgebraPresentation) -> str:
         alpha, beta = sol
         return COMPLEX if beta * beta + 4 * alpha < 0 else UNRECOGNIZED
     if d == 4:
-        trace_zero = kernel(RatMatrix._of_rows([_left_mult_traces(division)], 4))
-        if trace_zero.dim != 3:
+        form = _norm_form(division, unity)
+        if form is None:
             return UNRECOGNIZED
-        v = trace_zero.basis_rows()
-        gram = [[None] * 3 for _ in range(3)]
-        for a in range(3):
-            for b in range(3):
-                anti = vec_add(
-                    division.multiply_coords(v[a], v[b]),
-                    division.multiply_coords(v[b], v[a]),
-                )
-                coeff = _scalar_multiple_of(anti, unity.coords)
-                if coeff is None:
-                    return UNRECOGNIZED
-                gram[a][b] = coeff / 2
-        basis, diag = _diagonalize_symmetric(gram)
+        vectors, diag = form
         negatives = [idx for idx, q in enumerate(diag) if q < 0]
         if len(negatives) < 2:
             return UNRECOGNIZED
-        i_vec = combine(basis[negatives[0]], v, 4)
-        j_vec = combine(basis[negatives[1]], v, 4)
-        i_el, j_el = division.element(i_vec), division.element(j_vec)
+        i_el, j_el = division.element(vectors[negatives[0]]), division.element(vectors[negatives[1]])
         if (i_el * j_el + j_el * i_el).is_zero() and not i_el.is_zero() and not j_el.is_zero():
             return QUATERNION
         return UNRECOGNIZED
     return UNRECOGNIZED
+
+
+def _norm_form(division: AlgebraPresentation, unity: Element):
+    """The norm form of a 4-dim algebra on its trace-zero part, diagonalized.
+
+    Returns ``(vectors, squares)``: trace-zero vectors that pairwise
+    anticommute with v_a^2 = squares[a] * unity, or None when the trace-zero
+    part is not 3-dim or some anticommutator is not a multiple of the unity
+    (the algebra is then no quaternion algebra).
+    """
+    trace_zero = kernel(RatMatrix._of_rows([_left_mult_traces(division)], 4))
+    if trace_zero.dim != 3:
+        return None
+    v = trace_zero.basis_rows()
+    gram = [[None] * 3 for _ in range(3)]
+    for a in range(3):
+        for b in range(3):
+            anti = vec_add(
+                division.multiply_coords(v[a], v[b]),
+                division.multiply_coords(v[b], v[a]),
+            )
+            coeff = _scalar_multiple_of(anti, unity.coords)
+            if coeff is None:
+                return None
+            gram[a][b] = coeff / 2
+    basis, diag = _diagonalize_symmetric(gram)
+    return [combine(b, v, 4) for b in basis], diag
 
 
 def _scalar_multiple_of(v, u) -> Optional[Fraction]:
@@ -825,6 +1051,7 @@ def classify(alg: AlgebraPresentation) -> ClassificationReport:
                         label,
                         alg.element(embed(cembed(sf.central_idempotent.coords))),
                         [alg.element(embed(cembed(p.coords))) for p in sf.primitive_idempotents],
+                        sf.division_certificate.mapped(lambda v: embed(cembed(v))),
                     )
                 )
         factors.append(

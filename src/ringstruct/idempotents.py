@@ -1,10 +1,12 @@
 """Idempotent search, minimal one-sided ideals, Brauer's lemma, Pierce corners.
 
-``find_idempotent`` mirrors the recursive argument that a non-nilpotent
-algebra contains a nonzero idempotent: strip one-sided annihilators and
-correct lifts with ``e = x^2``; otherwise hunt a minimal principal one-sided
-ideal and apply Brauer's lemma; in the left-over cases recurse into the
-annihilator or generated subrings exactly as the case analysis dictates.
+``find_idempotent`` follows the argument that a non-nilpotent algebra
+contains a nonzero idempotent: strip a nonzero one-sided annihilator and
+correct the lift of an idempotent of the quotient with ``e = x^2``; when
+both annihilators vanish, the unity of a Wedderburn complement is one (the
+complement of a non-nilpotent algebra is nonzero).  Minimal principal
+one-sided ideals and Brauer's lemma stay available on their own; the
+classifier finds primitive idempotents by splitting corners instead.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .algebra import (
     Element,
     IdealSpace,
     annihilators,
-    generated_subring,
+    find_unity,
     product_span,
 )
 from .errors import (
@@ -25,8 +27,8 @@ from .errors import (
     NotIdempotent,
     NotMinimal,
 )
-from .linalg import RatMatrix, Subspace, apply_rows, combine, is_zero_vec, kernel, solve, unit_vec
-from .radical import is_nilpotent, quotient_algebra
+from .linalg import RatMatrix, Subspace, apply_rows, combine, is_zero_vec, solve, unit_vec
+from .radical import is_nilpotent, quotient_algebra, radical_complement
 
 
 class NullSquare:
@@ -59,14 +61,6 @@ def lift_idempotent(x: Element, max_rounds: Optional[int] = None) -> Element:
     raise InternalInvariantError("idempotent lifting failed to terminate")
 
 
-def _is_commutative(alg: AlgebraPresentation) -> bool:
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            if alg.basis_product(i, j) != alg.basis_product(j, i):
-                return False
-    return True
-
-
 def find_idempotent(alg: AlgebraPresentation) -> Optional[Element]:
     """A nonzero idempotent when the algebra is not nilpotent, else None."""
     if is_nilpotent(alg):
@@ -92,44 +86,13 @@ def _find_idempotent_nonnil(alg: AlgebraPresentation) -> Element:
             xbar = _find_idempotent_nonnil(quotient)
             x = alg.element(qmap.lift(xbar.coords))
             return x * x
-    # both annihilators vanish: Brauer route on a minimal principal right ideal
-    ideal = minimal_one_sided_ideal(alg, "right")
-    outcome = brauer_idempotent(alg, ideal)
-    if isinstance(outcome, Element):
-        return outcome
-    # the minimal ideal squares to zero
-    rows = ideal.subspace.basis_rows()
-    if not _is_commutative(alg):
-        # I' = {x : (aA) x = 0} is a proper nonzero two-sided ideal
-        killers = _left_annihilated_by(alg, ideal.subspace)
-        if killers.dim == 0 or killers.dim == n:
-            raise InternalInvariantError("annihilator of a square-zero minimal ideal degenerated")
-        sub, embed, _ = alg.subalgebra(killers, name=f"{alg.name}|ann")
-        if not is_nilpotent(sub):
-            inner = _find_idempotent_nonnil(sub)
-            return alg.element(embed(inner.coords))
-        two_sided = IdealSpace(alg, killers, "two-sided")
-        quotient, qmap = quotient_algebra(alg, two_sided)
-        ubar = _find_idempotent_nonnil(quotient)
-        u = alg.element(qmap.lift(ubar.coords))
-        hull = generated_subring([u])
-        sub, embed, _ = alg.subalgebra(hull.subspace, name=f"{alg.name}|gen")
-        if sub.dim == n or is_nilpotent(sub):
-            raise InternalInvariantError("generated subring degenerated in idempotent search")
-        inner = _find_idempotent_nonnil(sub)
-        return alg.element(embed(inner.coords))
-    # commutative: the minimal ideal is a square-zero two-sided ideal; lift through it
-    two_sided = IdealSpace(alg, ideal.subspace, "two-sided")
-    quotient, qmap = quotient_algebra(alg, two_sided)
-    ubar = _find_idempotent_nonnil(quotient)
-    u = alg.element(qmap.lift(ubar.coords))
-    return lift_idempotent(u, max_rounds=2)
-
-
-def _left_annihilated_by(alg: AlgebraPresentation, space: Subspace) -> Subspace:
-    """{x : v x = 0 for every v in the subspace}."""
-    rows = [row for v in space.basis_rows() for row in alg.operator(v, "left")[0]]  # x -> v*x
-    return kernel(RatMatrix._of_rows(rows, alg.dim)) if rows else Subspace.full(alg.dim)
+    # both annihilators vanish: the unity of a Wedderburn complement
+    complement = radical_complement(alg)
+    sub, embed, _ = alg.subalgebra(complement.subspace, name=f"{alg.name}|S")
+    unity = find_unity(sub)
+    if unity is None:
+        raise InternalInvariantError("Wedderburn complement of a non-nilpotent algebra has no unity")
+    return alg.element(embed(unity.coords))
 
 
 # -- minimal principal one-sided ideals -------------------------------------

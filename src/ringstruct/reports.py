@@ -96,6 +96,7 @@ def _algebra_classify(alg: AlgebraPresentation) -> dict:
                         "primitive_idempotents": [
                             _coords(p.coords) for p in sf.primitive_idempotents
                         ],
+                        **_division_certificate(sf.division_certificate),
                     }
                     for sf in f.simple_factors
                 ],
@@ -120,6 +121,22 @@ def _algebra_classify(alg: AlgebraPresentation) -> dict:
                 "total": rep.dim,
             },
         },
+    }
+
+
+def _division_certificate(cert) -> dict:
+    """The certificate that the first primitive corner is a division algebra.
+
+    A corner of dimension 1 is its own certificate, which the verifier
+    recomputes, so split factors carry no entry."""
+    if cert.dim == 1:
+        return {}
+    return {
+        "division_certificate": {
+            "kind": cert.kind,
+            "elements": [_coords(v) for v in cert.elements],
+            "coefficients": [format_rat(c) for c in cert.coefficients],
+        }
     }
 
 

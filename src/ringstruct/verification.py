@@ -2,7 +2,9 @@
 
 These checks deliberately avoid the decomposition engine: they use only
 element multiplication, subspace membership, and set arithmetic on the
-certificates quoted in a report, so a report that passes was right for
+certificates quoted in a report, plus two number-theoretic tests for
+division corners (irreducibility of a polynomial over Q, and Legendre's
+conditions for a ternary form), so a report that passes was right for
 checkable reasons.
 """
 
@@ -85,6 +87,7 @@ def verify_classify_report(alg: AlgebraPresentation, report: dict):
             ideal = _space(alg, sf["ideal_basis"])
             if ideal.dim != sf["matrix_degree"] ** 2 * sf["division_dim"]:
                 _fail("simple factor dimension accounting fails")
+            _check_division_corner(alg, prims[0], sf)
     if verdict["unital"]:
         unity = alg.element(_vec(certs["unity"]))
         for i in range(alg.dim):
@@ -95,6 +98,84 @@ def verify_classify_report(alg: AlgebraPresentation, report: dict):
             _fail("unital report must have unity subring dimension s")
         if verdict["r0_dim"] != 0:
             _fail("unital report must have trivial annihilator factor")
+
+
+def _check_division_corner(alg: AlgebraPresentation, p, sf: dict):
+    """p A p has dimension ``division_dim`` and is a division algebra for the reported reason.
+
+    Dimension 1 needs nothing more.  A FIELD certificate is a corner element
+    x with mu(x) = 0 for an irreducible monic mu of degree dim, so Q[x] is a
+    field filling the corner.  A NORM_FORM certificate is three anticommuting
+    corner elements that span the corner with p and square to q_a p, with
+    the form sum q_a x_a^2 anisotropic: definite, or failing Legendre's
+    conditions.
+    """
+    d = sf["division_dim"]
+    corner = Subspace(alg.dim, [(p * b * p).coords for b in alg.basis_elements()])
+    if corner.dim != d:
+        _fail("first primitive corner does not have the division dimension")
+    if d == 1:
+        return
+    cert = sf.get("division_certificate")
+    if cert is None:
+        _fail(f"division corner of dimension {d} carries no certificate")
+    elements = [alg.element(_vec(v)) for v in cert["elements"]]
+    coefficients = [parse_rat(c) for c in cert["coefficients"]]
+    if not all(corner.contains(x.coords) for x in elements):
+        _fail("certificate element outside the primitive corner")
+    if cert["kind"] == "field":
+        if len(elements) != 1 or len(coefficients) != d + 1 or coefficients[-1] != 1:
+            _fail("field certificate needs one element and a monic polynomial of degree dim")
+        x = elements[0]
+        value, power = alg.zero_element(), p
+        for c in coefficients:
+            value = value + power.scale(c)
+            power = power * x
+        if not value.is_zero():
+            _fail("certificate polynomial does not vanish at its element")
+        if not _irreducible(coefficients):
+            _fail("certificate polynomial is reducible")
+    elif cert["kind"] == "norm_form":
+        if d != 4 or len(elements) != 3 or len(coefficients) != 3 or 0 in coefficients:
+            _fail("norm-form certificate needs three elements with nonzero squares in dimension 4")
+        if Subspace(alg.dim, [p.coords] + [v.coords for v in elements]) != corner:
+            _fail("norm-form elements do not span the corner with p")
+        for a, (v, q) in enumerate(zip(elements, coefficients)):
+            if (v * v) != p.scale(q):
+                _fail("norm-form element does not square to its coefficient")
+            for w in elements[a + 1:]:
+                if not (v * w + w * v).is_zero():
+                    _fail("norm-form elements do not anticommute")
+        if _isotropic(coefficients):
+            _fail("norm form has a rational zero, so the corner splits")
+    else:
+        _fail(f"unknown division certificate {cert['kind']!r}")
+
+
+def _irreducible(coefficients) -> bool:
+    import sympy
+
+    t = sympy.Symbol("t")
+    poly = sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coefficients)], t, domain="QQ"
+    )
+    return poly.is_irreducible
+
+
+def _isotropic(coefficients) -> bool:
+    """Legendre: a x^2 + b y^2 + c z^2 with a, b, c squarefree, pairwise coprime
+    and of mixed signs has a nonzero zero iff -bc, -ca, -ab are squares modulo
+    |a|, |b|, |c|."""
+    if all(q > 0 for q in coefficients) or all(q < 0 for q in coefficients):
+        return False
+    from sympy.ntheory.residue_ntheory import is_quad_residue
+
+    from .classify import legendre_normal_form
+
+    (a, b, c), _ = legendre_normal_form(coefficients)
+    return all(
+        is_quad_residue(-u * v % abs(w), abs(w)) for u, v, w in ((b, c, a), (c, a, b), (a, b, c))
+    )
 
 
 def _check_orthogonal_idempotents(elements):

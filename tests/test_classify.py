@@ -1,7 +1,10 @@
 import itertools
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringstruct.algebra import AlgebraPresentation, find_unity
 from ringstruct.classify import (
@@ -16,18 +19,21 @@ from ringstruct.classify import (
     corner_division_check,
     dorroh_unitization,
     frobenius_type,
+    legendre_normal_form,
     minimal_unitization,
     prime_check,
     reduced_decompose,
     semiprime_check,
     semisimple_decompose,
 )
+from ringstruct.classify import _conic_zero
 from ringstruct.documents import to_object
 from ringstruct.errors import NotSemiprime, ValidationError
 from ringstruct.generators import (
     annihilator_gap,
     base_field,
     direct_sum,
+    generate,
     matrix_algebra,
     null_ring,
     quadratic_line,
@@ -41,6 +47,10 @@ from ringstruct.generators import (
 from ringstruct.idempotents import principal_ideal
 from ringstruct.linalg import Subspace, is_zero_vec, unit_vec
 from ringstruct.radical import is_nilpotent, jacobson_radical
+from ringstruct.reports import run_report
+from ringstruct.verification import verify_classify_report, verify_idempotents_report
+
+from oracles import rebase_document
 
 
 def test_semiprime_and_prime_examples():
@@ -211,6 +221,99 @@ def test_split_quaternions_are_a_matrix_algebra():
     factors, family = semisimple_decompose(alg)
     assert [(f.matrix_degree, f.division_dim) for f in factors] == [(2, 1)]
     assert len(family) == 2
+
+
+def test_quaternion_algebras_split_or_carry_a_norm_form_certificate():
+    # (2, -1) is M2(Q): 2 x^2 - y^2 - 2 z^2 has the zero (1, 0, 1)
+    factors, _ = semisimple_decompose(to_object(quaternion(2, -1)))
+    assert [(f.matrix_degree, f.division_dim) for f in factors] == [(2, 1)]
+    # (-1, 3) is a division algebra with an indefinite norm form -x^2 + 3y^2 + 3z^2
+    factors, _ = semisimple_decompose(to_object(quaternion(-1, 3)))
+    assert [(f.matrix_degree, f.division_dim) for f in factors] == [(1, 4)]
+    certificate = factors[0].division_certificate
+    assert certificate.kind == "norm_form" and sorted(certificate.coefficients) == [-1, 3, 3]
+
+
+def test_field_corner_carries_its_minimal_polynomial():
+    factors, _ = semisimple_decompose(to_object(quadratic_line()))
+    certificate = factors[0].division_certificate
+    assert certificate.kind == "field" and certificate.coefficients == [1, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "family, params, seeds, shapes",
+    [
+        # seeds 54481901 and 86910239 once gave M2 as one factor of degree 1
+        ("m", {"n": 2}, ("1:m2", "7:m2", "54481901:m2", "86910239:m2"), [(2, 1)]),
+        ("m", {"n": 3}, ("1:m3", "2:m3", "3:m3"), [(3, 1)]),
+        # M4 splits into corners of M1 and M3, in a basis with large entries
+        ("m", {"n": 4}, ("1:m4",), [(4, 1)]),
+        # every basis element of the M3 factor has an irreducible cubic minimal
+        # polynomial; quotients of two of them split it
+        ("sum", {"parts": "m:3:K1,utd:2:K1"}, (2,), [(1, 1), (1, 1), (3, 1)]),
+    ],
+)
+def test_rebased_matrix_algebras_split_into_certified_corners(family, params, seeds, shapes):
+    for seed in seeds:
+        doc = rebase_document(
+            generate(family, {k: str(v) for k, v in params.items()}), random.Random(seed)
+        )
+        alg = to_object(doc)
+        report = run_report(doc, "classify")
+        verify_classify_report(alg, report)
+        verify_idempotents_report(alg, run_report(doc, "idempotents"))
+        factors = report["certificates"]["factors"][0]["simple_factors"]
+        assert sorted((sf["matrix_degree"], sf["division_dim"]) for sf in factors) == shapes
+
+
+def _holzer_search(q):
+    """A nonzero integer zero of sum q_a x_a^2 with |x| <= sqrt|q_1 q_2| and
+    |y| <= sqrt|q_0 q_2|, or None.  Holzer's theorem puts a zero of every
+    solvable Legendre normal form in this box; for the unreduced forms drawn
+    here (coefficients in +-1..12) the box holds one too, which a run over all
+    13,824 of them confirmed."""
+    a, b, c = q
+    bx, by = math.isqrt(abs(b * c)), math.isqrt(abs(a * c))
+    for x in range(bx + 1):
+        for y in range(-by, by + 1):
+            if x == 0 and y <= 0:
+                continue
+            r = -(a * x * x + b * y * y)
+            if r % c == 0 and r // c >= 0 and math.isqrt(r // c) ** 2 == r // c:
+                return (x, y, math.isqrt(r // c))
+    return None
+
+
+def _squarefree(a):
+    return all(a % (p * p) for p in range(2, math.isqrt(abs(a)) + 1))
+
+
+coefficient = st.integers(-12, 12).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(coefficient, coefficient, coefficient))
+def test_normal_form_and_conic_solver_match_bounded_search(q):
+    normal, scales = legendre_normal_form(q)
+    assert all(_squarefree(a) for a in normal)
+    assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(normal, 2))
+    normal_zero = _holzer_search(normal)
+    if normal_zero is not None:  # mapped back, a zero of the normal form is one of q
+        assert sum(c * (s * v) ** 2 for c, s, v in zip(q, scales, normal_zero)) == 0
+    expected = _holzer_search(q)
+    assert (normal_zero is None) == (expected is None)
+    zero = _conic_zero([F(c) for c in q])
+    assert (zero is None) == (expected is None)
+    if zero is not None:
+        assert any(zero) and sum(c * v * v for c, v in zip(q, zero)) == 0
+
+
+def test_conic_solver_reduces_before_solving():
+    # sympy's solver, handed -2x^2 + y^2 + 2z^2 as it stands, answers (1, 2, 0),
+    # which is no zero; reduced first, the form is -x^2 + 2y^2 + z^2
+    assert legendre_normal_form([-2, 1, 2]) == ((-1, 2, 1), (F(1, 2), F(1), F(1, 2)))
+    x, y, z = _conic_zero([F(-2), F(1), F(2)])
+    assert -2 * x * x + y * y + 2 * z * z == 0 and (x, y, z) != (0, 0, 0)
 
 
 def test_reduced_round_trip_one_label():

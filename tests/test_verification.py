@@ -2,11 +2,13 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringstruct.documents import to_object
 from ringstruct.errors import InternalInvariantError
 from ringstruct.generators import generate
+from ringstruct.linalg import parse_rat
 from ringstruct.reports import run_report
 from ringstruct.verification import (
     verify_classify_report,
@@ -48,26 +50,6 @@ generate_params = st.one_of(
 )
 
 
-# The open defect of the primitive peel (ROADMAP, certified primitive
-# idempotents): in a rebased basis, M3 and algebras that contain it make
-# `unitize` exit 2 with one of these messages.  That is a refusal, not a
-# report, and it is allowed in the rebased basis only; every report that is
-# returned must pass its verifier.
-KNOWN_REBASED_REFUSALS = (
-    "factor dimensions fail degree^2 * division_dim",
-    "Brauer solve failed on a certified minimal ideal",
-)
-
-
-def _rebased_report(doc, command):
-    try:
-        return run_report(doc, command)
-    except InternalInvariantError as exc:
-        if not any(message in str(exc) for message in KNOWN_REBASED_REFUSALS):
-            raise
-        return None
-
-
 @settings(max_examples=40, deadline=None)
 @given(generate_params, st.integers(0, 2**32))
 def test_reports_pass_their_verifiers(params, seed):
@@ -80,7 +62,52 @@ def test_reports_pass_their_verifiers(params, seed):
     verify_unitize_report(alg, run_report(doc, "unitize"))
     rebased = rebase_document(doc, random.Random(seed))
     a = to_object(rebased)
+    verify_classify_report(a, run_report(rebased, "classify"))
+    verify_idempotents_report(a, run_report(rebased, "idempotents"))
     verify_radical_report(a, run_report(rebased, "radical"))
-    report = _rebased_report(rebased, "unitize")
-    if report is not None:
-        verify_unitize_report(a, report)
+    verify_unitize_report(a, run_report(rebased, "unitize"))
+
+
+def _classify(family, **params):
+    doc = generate(family, {k: str(v) for k, v in params.items()})
+    alg = to_object(doc)
+    report = run_report(doc, "classify")
+    verify_classify_report(alg, report)
+    return alg, report, report["certificates"]["factors"][0]["simple_factors"][0]
+
+
+def test_verifier_rejects_a_split_algebra_reported_as_division():
+    # M2 reported as one factor of degree 1 over a 4-dimensional corner: the
+    # wrong answer that an uncertified minimal left ideal once gave
+    alg, report, sf = _classify("m", n=2)
+    sf.update(
+        matrix_degree=1,
+        division_dim=4,
+        division_type="UNRECOGNIZED",
+        primitive_idempotents=[sf["central_idempotent"]],
+    )
+    with pytest.raises(InternalInvariantError, match="carries no certificate"):
+        verify_classify_report(alg, report)
+    # a forged norm form that is isotropic: E11 - E22, E12 + E21, E12 - E21
+    sf["division_certificate"] = {
+        "kind": "norm_form",
+        "elements": [["1", "0", "0", "-1"], ["0", "1", "1", "0"], ["0", "1", "-1", "0"]],
+        "coefficients": ["1", "1", "-1"],
+    }
+    with pytest.raises(InternalInvariantError, match="rational zero"):
+        verify_classify_report(alg, report)
+
+
+@pytest.mark.parametrize(
+    "family, params, kind",
+    [("h", {}, "norm_form"), ("h", {"a": -1, "b": 3}, "norm_form"), ("c", {}, "field")],
+)
+@pytest.mark.parametrize("entry", ["coefficients", "elements"])
+def test_verifier_rejects_a_corrupted_certificate_entry(family, params, kind, entry):
+    alg, report, sf = _classify(family, **params)
+    cert = sf["division_certificate"]
+    assert cert["kind"] == kind
+    values = cert[entry] if entry == "coefficients" else cert[entry][0]
+    values[0] = str(parse_rat(values[0]) + 1)
+    with pytest.raises(InternalInvariantError, match="certificate verification failed"):
+        verify_classify_report(alg, report)
