@@ -517,9 +517,8 @@ def generated_subring(elements: Sequence[Element]) -> IdealSpace:
     """Smallest label-respecting subring containing the given elements.
 
     Subrings here split along label blocks (each block is scalared by its
-    own base field), so the generated subring is the per-label span of the
-    generators' components, closed under multiplication by iterating
-    span-and-multiply to a fixed point (at most ``dim`` rounds).
+    own base field), so the generated subring is the multiplicative closure
+    of the per-label components of the generators.
     """
     if not elements:
         raise ValidationError("generated_subring requires a nonempty set")
@@ -529,13 +528,19 @@ def generated_subring(elements: Sequence[Element]) -> IdealSpace:
         if x.algebra is not alg:
             raise MismatchedAlgebras("generators from different algebras")
         vectors.extend(alg.label_components(x.coords))
+    return IdealSpace(alg, multiplicative_closure(alg, vectors), "subring-only")
+
+
+def multiplicative_closure(alg: AlgebraPresentation, vectors: Sequence) -> Subspace:
+    """The span of the vectors closed under multiplication, by iterating
+    span-and-multiply to a fixed point (at most ``dim`` rounds)."""
     current = Subspace(alg.dim, vectors)
     while True:
         rows = current.basis_rows()
         products = [alg.multiply_coords(u, v) for u in rows for v in rows]
         bigger = current.add(Subspace(alg.dim, products))
         if bigger == current:
-            return IdealSpace(alg, current, "subring-only")
+            return current
         current = bigger
 
 

@@ -27,6 +27,7 @@ from .algebra import (
     center,
     find_unity,
     generated_subring,
+    multiplicative_closure,
     product_span,
 )
 from .errors import (
@@ -53,10 +54,10 @@ from .linalg import (
 from .idempotents import principal_ideal
 from .radical import (
     _left_mult_traces,
+    complement_algebra,
     element_nilpotency,
     is_nilpotent,
     jacobson_radical,
-    radical_complement,
 )
 
 REAL = "REAL"
@@ -128,6 +129,17 @@ class SimpleFactorReport:
         self.central_idempotent = central_idempotent
         self.primitive_idempotents = primitive_idempotents
         self.division_certificate = division_certificate
+
+    def mapped(self, alg: AlgebraPresentation, embed) -> "SimpleFactorReport":
+        """The same factor inside ``alg``, which ``embed`` carries coordinates into."""
+        rows = [embed(r) for r in self.ideal.subspace.basis_rows()]
+        return SimpleFactorReport(
+            IdealSpace(alg, Subspace(alg.dim, rows), "subring-only"),
+            self.matrix_degree, self.division_dim, self.division_type, self.field_label,
+            alg.element(embed(self.central_idempotent.coords)),
+            [alg.element(embed(p.coords)) for p in self.primitive_idempotents],
+            self.division_certificate.mapped(embed),
+        )
 
     def __repr__(self):
         return (
@@ -289,24 +301,6 @@ def prime_check(alg: AlgebraPresentation) -> bool:
 # -- center splitting --------------------------------------------------------
 
 
-def _polynomial_closure(zalg: AlgebraPresentation, elements, unity: Element) -> int:
-    """Dimension of the ordinary unital subalgebra generated by the elements.
-
-    Plain span-and-multiply closure of {unity} + elements, without the
-    label-componentwise splitting used by generated_subring: this is the
-    space a single polynomial generator can reach.
-    """
-    current = Subspace(zalg.dim, [unity.coords] + [e.coords for e in elements])
-    while True:
-        rows = current.basis_rows()
-        grown = current.add(
-            Subspace(zalg.dim, [zalg.multiply_coords(u, v) for u in rows for v in rows])
-        )
-        if grown == current:
-            return current.dim
-        current = grown
-
-
 def _primitive_element(zalg: AlgebraPresentation, unity: Element) -> Tuple[Element, List[Fraction]]:
     """An element of a commutative semisimple algebra with full-degree minimal polynomial.
 
@@ -327,7 +321,7 @@ def _primitive_element(zalg: AlgebraPresentation, unity: Element) -> Tuple[Eleme
             return best, best_poly
     for i in range(zalg.dim):
         b = zalg.basis_element(i)
-        target = _polynomial_closure(zalg, [best, b], unity)
+        target = multiplicative_closure(zalg, [unity.coords, best.coords, b.coords]).dim
         if target <= len(best_poly) - 1:
             continue
         lam = 1
@@ -1001,6 +995,15 @@ class ClassificationReport:
             )
 
 
+def complement_factors(alg: AlgebraPresentation, radical: Subspace) -> List[SimpleFactorReport]:
+    """The simple factors of a Wedderburn complement of ``radical``, in the
+    coordinates of ``alg``."""
+    if radical.dim == alg.dim:
+        return []
+    calg, embed = complement_algebra(alg, radical)
+    return [sf.mapped(alg, embed) for sf in semisimple_decompose(calg)[0]]
+
+
 def classify(alg: AlgebraPresentation) -> ClassificationReport:
     """Split into an annihilator factor and one non-null factor per field label.
 
@@ -1031,38 +1034,10 @@ def classify(alg: AlgebraPresentation) -> ClassificationReport:
         block_space = alg.block_subspace(block)
         sub, embed, _ = alg.subalgebra(block_space, name=f"{alg.name}|{label}")
         cert = is_nilpotent(sub)
-        radical = jacobson_radical(sub, _verify=False)
-        simple_factors: List[SimpleFactorReport] = []
-        if radical.dim < sub.dim:
-            complement = radical_complement(sub, _verify=False)
-            calg, cembed, _ = sub.subalgebra(complement.subspace, name=f"{sub.name}|S")
-            sfactors, _ = semisimple_decompose(calg)
-            for sf in sfactors:
-                rows = [
-                    embed(cembed(r)) for r in sf.ideal.subspace.basis_rows()
-                ]
-                ambient_ideal = IdealSpace(alg, Subspace(n, rows), "subring-only")
-                simple_factors.append(
-                    SimpleFactorReport(
-                        ambient_ideal,
-                        sf.matrix_degree,
-                        sf.division_dim,
-                        sf.division_type,
-                        label,
-                        alg.element(embed(cembed(sf.central_idempotent.coords))),
-                        [alg.element(embed(cembed(p.coords))) for p in sf.primitive_idempotents],
-                        sf.division_certificate.mapped(lambda v: embed(cembed(v))),
-                    )
-                )
-        factors.append(
-            FactorReport(
-                label,
-                IdealSpace(alg, block_space, "two-sided"),
-                bool(cert),
-                simple_factors,
-                radical.dim,
-            )
-        )
+        radical = jacobson_radical(sub, _verify=False).subspace
+        simple_factors = [sf.mapped(alg, embed) for sf in complement_factors(sub, radical)]
+        ideal = IdealSpace(alg, block_space, "two-sided")
+        factors.append(FactorReport(label, ideal, bool(cert), simple_factors, radical.dim))
     unity = find_unity(alg)
     unital = unity is not None
     unity_subring_dim = generated_subring([unity]).dim if unital else 0

@@ -1,17 +1,19 @@
 """Idempotent search, minimal one-sided ideals, Brauer's lemma, Pierce corners.
 
-``find_idempotent`` follows the argument that a non-nilpotent algebra
-contains a nonzero idempotent: strip a nonzero one-sided annihilator and
-correct the lift of an idempotent of the quotient with ``e = x^2``; when
-both annihilators vanish, the unity of a Wedderburn complement is one (the
-complement of a non-nilpotent algebra is nonzero).  Minimal principal
-one-sided ideals and Brauer's lemma stay available on their own; the
-classifier finds primitive idempotents by splitting corners instead.
+All of it rests on the Wedderburn splitting A = S (+) J of the algebra into
+its radical J and a semisimple complement S.  ``find_idempotent`` returns
+the unity of S, which is nonzero exactly when the algebra is not nilpotent.
+A minimal left ideal with A I != 0 is a simple S-module that J kills, so
+``minimal_one_sided_ideal`` builds it as A x = S x for a nonzero x = p y with
+p the certified first primitive idempotent of a simple factor M_n(D) of S
+(from the classifier's corner splitting) and J y = 0; its dimension is
+n dim D.  Right ideals mirror this.  ``brauer_idempotent`` checks minimality
+the same way before it solves for the idempotent that generates the ideal.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .algebra import (
     AlgebraPresentation,
@@ -27,8 +29,8 @@ from .errors import (
     NotIdempotent,
     NotMinimal,
 )
-from .linalg import RatMatrix, Subspace, apply_rows, combine, is_zero_vec, solve, unit_vec
-from .radical import is_nilpotent, quotient_algebra, radical_complement
+from .linalg import RatMatrix, Subspace, apply_rows, combine, is_zero_vec, solve
+from .radical import complement_algebra, is_nilpotent, jacobson_radical
 
 
 class NullSquare:
@@ -62,37 +64,21 @@ def lift_idempotent(x: Element, max_rounds: Optional[int] = None) -> Element:
 
 
 def find_idempotent(alg: AlgebraPresentation) -> Optional[Element]:
-    """A nonzero idempotent when the algebra is not nilpotent, else None."""
+    """A nonzero idempotent when the algebra is not nilpotent, else None.
+
+    The Wedderburn complement of a non-nilpotent algebra is a nonzero
+    semisimple algebra, and its unity is the idempotent returned.
+    """
     if is_nilpotent(alg):
         return None
-    e = _find_idempotent_nonnil(alg)
-    if e is None or e.is_zero() or (e * e) != e:
-        raise InternalInvariantError("idempotent search returned an invalid element")
-    return e
-
-
-def _find_idempotent_nonnil(alg: AlgebraPresentation) -> Element:
-    n = alg.dim
-    if n == 1:
-        c = alg.basis_product(0, 0)[0]
-        if c == 0:
-            raise InternalInvariantError("1-dim non-nilpotent algebra with zero square")
-        return alg.element([1 / c])
-    ann1, ann2, _ = annihilators(alg.basis_elements())
-    for one_sided in (ann1, ann2):
-        if one_sided.dim > 0:
-            two_sided = IdealSpace(alg, one_sided.subspace, "two-sided")
-            quotient, qmap = quotient_algebra(alg, two_sided)
-            xbar = _find_idempotent_nonnil(quotient)
-            x = alg.element(qmap.lift(xbar.coords))
-            return x * x
-    # both annihilators vanish: the unity of a Wedderburn complement
-    complement = radical_complement(alg)
-    sub, embed, _ = alg.subalgebra(complement.subspace, name=f"{alg.name}|S")
+    sub, embed = complement_algebra(alg, jacobson_radical(alg, _verify=False).subspace)
     unity = find_unity(sub)
     if unity is None:
         raise InternalInvariantError("Wedderburn complement of a non-nilpotent algebra has no unity")
-    return alg.element(embed(unity.coords))
+    e = alg.element(embed(unity.coords))
+    if e.is_zero() or (e * e) != e:
+        raise InternalInvariantError("idempotent search returned an invalid element")
+    return e
 
 
 # -- minimal principal one-sided ideals -------------------------------------
@@ -106,135 +92,115 @@ def principal_ideal(alg: AlgebraPresentation, a, side: str) -> Subspace:
     return Subspace(alg.dim, zip(*rows))
 
 
-def _probe_vectors(rows: List[tuple]) -> List[tuple]:
-    probes = list(rows)
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            probes.append(tuple(a + b for a, b in zip(rows[i], rows[j])))
-            probes.append(tuple(a - b for a, b in zip(rows[i], rows[j])))
-    return probes
+def _acting(alg: AlgebraPresentation, a, x, side: str) -> tuple:
+    """a x on a left ideal, x a on a right one."""
+    return alg.multiply_coords(a, x) if side == "left" else alg.multiply_coords(x, a)
+
+
+def _simple_factors(alg: AlgebraPresentation):
+    """The radical J, and the simple factors M_n(D) of a Wedderburn complement in
+    the coordinates of the algebra, by increasing n dim D."""
+    from .classify import complement_factors  # classify imports this module
+
+    radical = jacobson_radical(alg, _verify=False).subspace
+    factors = complement_factors(alg, radical)
+    return radical, sorted(factors, key=lambda f: f.matrix_degree * f.division_dim)
+
+
+def _check_minimal(alg: AlgebraPresentation, space: Subspace, side: str, radical: Subspace, factors):
+    """Raise :class:`NotMinimal` unless the one-sided ideal I = ``space`` is minimal.
+
+    When A I = 0 every subspace of I is an ideal, so I is minimal iff it is a
+    line.  Otherwise J I is a smaller ideal (Nakayama), so it must vanish;
+    then I = A I = S I is a unital S-module, and it is simple iff exactly one
+    central idempotent c_i of S acts on it as the identity and dim I is
+    n_i dim D_i.  The dimension alone does not do: in Q + Q + M_2 the ideal
+    Q + Q has the dimension of the simple M_2-module.
+    """
+    rows = space.basis_rows()
+    if all(principal_ideal(alg, r, side).is_zero() for r in rows):
+        if space.dim != 1:
+            raise NotMinimal("an ideal that the algebra kills is minimal only if it is a line")
+        return
+
+    def fixes(e: Element) -> bool:
+        return all(_acting(alg, e.coords, r, side) == r for r in rows)
+
+    if not all(is_zero_vec(_acting(alg, j, r, side)) for j in radical.basis_rows() for r in rows):
+        raise NotMinimal("the radical does not annihilate the ideal")
+    if not fixes(sum((f.central_idempotent for f in factors), alg.zero_element())):
+        raise NotMinimal("the unity of the semisimple part does not act as the identity")
+    acting = [f.matrix_degree * f.division_dim for f in factors if fixes(f.central_idempotent)]
+    if acting != [space.dim]:
+        raise NotMinimal("the ideal is not a simple module of one simple factor")
 
 
 def minimal_one_sided_ideal(alg: AlgebraPresentation, side: str) -> IdealSpace:
-    """A principal one-sided ideal of minimal positive dimension.
+    """A minimal one-sided ideal of least dimension.
 
-    Candidates are drawn from basis elements, their pairwise sums and
-    differences, and basis products; the dimension-descent loop then shrinks
-    the best candidate through principal ideals of its members until the
-    minimality certificate holds: every probe vector of the result
-    regenerates the whole ideal.
-
-    Requires the matching one-sided annihilator of the algebra to vanish
-    (otherwise some principal ideal would be zero and minimality talk breaks
-    down); raises :class:`AnnihilatorNonzero` when it does not.
+    With soc = {x : J x = 0} (x J = 0 on the right) and the factors of the
+    complement by increasing n dim D, the first factor whose primitive
+    idempotent p has p soc != 0 gives x = p if p lies in soc, else the first
+    basis vector of p soc; A x = S x is a copy of the minimal left ideal S p
+    and passes the check of :func:`brauer_idempotent`.  Raises
+    :class:`AnnihilatorNonzero` when the matching one-sided annihilator is
+    nonzero, since some principal ideal is then zero.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    n = alg.dim
     ann1, ann2, _ = annihilators(alg.basis_elements())
     blocking = ann1 if side == "right" else ann2
     if blocking.dim > 0:
         raise AnnihilatorNonzero(f"one-sided annihilator is nonzero (dim {blocking.dim})")
-    candidates = [unit_vec(n, i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            candidates.append(tuple(a + b for a, b in zip(candidates[i], candidates[j])))
-    for i in range(n):
-        for j in range(n):
-            p = alg.basis_product(i, j)
-            if not is_zero_vec(p):
-                candidates.append(p)
-    best: Optional[Subspace] = None
-    for cand in candidates:
-        if is_zero_vec(cand):
-            continue
-        space = principal_ideal(alg, alg.element(cand), side)
-        if space.dim == 0:
-            raise AnnihilatorNonzero("a nonzero element generates a zero principal ideal")
-        if best is None or space.dim < best.dim:
-            best = space
-    if best is None:
-        raise AnnihilatorNonzero("no candidates in a zero-dimensional algebra")
-    # descent: while some member generates a strictly smaller nonzero ideal
-    changed = True
-    while changed:
-        changed = False
-        for v in _probe_vectors(best.basis_rows()):
-            if is_zero_vec(v):
+    radical, factors = _simple_factors(alg)
+    socle = Subspace.full(alg.dim)
+    if not radical.is_zero():
+        kill_right, kill_left, _ = annihilators([alg.element(r) for r in radical.basis_rows()])
+        socle = (kill_left if side == "left" else kill_right).subspace
+    for f in factors:
+        x = f.primitive_idempotents[0].coords
+        if not socle.contains(x):
+            moved = Subspace(alg.dim, [_acting(alg, x, s, side) for s in socle.basis_rows()])
+            if moved.is_zero():
                 continue
-            sub = principal_ideal(alg, alg.element(v), side)
-            if 0 < sub.dim < best.dim:
-                best = sub
-                changed = True
-                break
-    _certify_minimal(alg, best, side)
-    return IdealSpace(alg, best, side)
-
-
-def _certify_minimal(alg: AlgebraPresentation, space: Subspace, side: str):
-    """Every probe member must generate the whole ideal.
-
-    The one-sided ideal generated by v is span{v} + A v (or v A); the
-    principal ideal alone can be zero in the presence of annihilators, so
-    the span of v itself is included.
-    """
-    for v in _probe_vectors(space.basis_rows()):
-        if is_zero_vec(v):
-            continue
-        generated = principal_ideal(alg, alg.element(v), side).add(
-            Subspace(alg.dim, [v])
-        )
-        if generated != space:
-            raise NotMinimal("a member of the ideal fails to regenerate it")
+            x = moved.basis_rows()[0]
+        space = principal_ideal(alg, x, side)
+        _check_minimal(alg, space, side, radical, factors)
+        return IdealSpace(alg, space, side)
+    raise InternalInvariantError("no simple factor acts on the socle")
 
 
 def brauer_idempotent(alg: AlgebraPresentation, ideal: IdealSpace):
     """Brauer's lemma: a minimal one-sided ideal squares to zero or is generated
     by an idempotent.
 
-    For a minimal left ideal I with I^2 != 0, pick a in I with I a != 0;
-    minimality forces {x in I : x a = 0} = 0, so e in I with e a = a exists,
-    is unique, and e^2 - e annihilates a, hence e is idempotent and
-    I = A e.  Right ideals are symmetric.
+    Minimality is checked first, by the check :func:`minimal_one_sided_ideal`
+    uses, and a failure raises :class:`NotMinimal`.  For a minimal left ideal
+    I with I^2 != 0, pick a in I with I a != 0; minimality forces
+    {x in I : x a = 0} = 0, so e in I with e a = a exists, is unique, and
+    e^2 - e annihilates a, hence e is idempotent and I = A e.  Right ideals
+    are symmetric.
     """
     if ideal.sidedness not in ("left", "right"):
         raise NotMinimal("brauer_idempotent expects a one-sided ideal")
     side = ideal.sidedness
     space = ideal.subspace
-    _certify_minimal(alg, space, side)
+    _check_minimal(alg, space, side, *_simple_factors(alg))
     if product_span(alg, space, space).is_zero():
         return NullSquare()
     rows = space.basis_rows()
-    n = alg.dim
-    anchor = None
-    for a in rows:
-        if side == "left":
-            image = Subspace(n, [alg.multiply_coords(v, a) for v in rows])  # I*a
-        else:
-            image = Subspace(n, [alg.multiply_coords(a, v) for v in rows])  # a*I
-        if not image.is_zero():
-            anchor = a
-            break
+    # an anchor a in I with I a != 0 (a I != 0 on the right)
+    anchor = next((a for a in rows if any(not is_zero_vec(_acting(alg, v, a, side)) for v in rows)), None)
     if anchor is None:
         raise InternalInvariantError("nonzero square but no anchor found in minimal ideal")
-    # solve for e in I with e*a = a (left) or a*e = a (right)
-    cols = []
-    for r in rows:
-        prod = (
-            alg.multiply_coords(r, anchor) if side == "left" else alg.multiply_coords(anchor, r)
-        )
-        cols.append(prod)
-    system = RatMatrix.from_rows([[cols[j][k] for j in range(len(rows))] for k in range(n)])
-    sol = solve(system, anchor)
+    # solve for e in I with e a = a (a e = a on the right)
+    sol = solve(RatMatrix.from_rows(list(zip(*(_acting(alg, r, anchor, side) for r in rows)))), anchor)
     if sol is None:
         raise InternalInvariantError("Brauer solve failed on a certified minimal ideal")
-    e = alg.element(combine(sol, rows, n))
+    e = alg.element(combine(sol, rows, alg.dim))
     if e.is_zero() or (e * e) != e:
         raise InternalInvariantError("Brauer element failed idempotency")
-    regenerated = principal_ideal(alg, e, side)
-    # e itself may sit outside span(e*A) only in non-unital corner cases;
-    # the ideal it generates must still be the given one.
-    if regenerated != space:
+    if principal_ideal(alg, e, side) != space:
         raise InternalInvariantError("Brauer idempotent does not regenerate the ideal")
     return e
 
@@ -270,9 +236,4 @@ def pierce_decomposition(
                 for k, (ex_k, xe_k, exe_k) in enumerate(zip(ex, xe, exe))
             )
         )
-    return (
-        Subspace(n, c11),
-        Subspace(n, c10),
-        Subspace(n, c01),
-        Subspace(n, c00),
-    )
+    return tuple(Subspace(n, c) for c in (c11, c10, c01, c00))

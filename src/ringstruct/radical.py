@@ -293,6 +293,16 @@ def radical_complement(alg: AlgebraPresentation, _verify: bool = True) -> IdealS
     return result
 
 
+def complement_algebra(alg: AlgebraPresentation, radical: Subspace):
+    """A Wedderburn complement S of the given radical as an algebra, with its
+    embedding into ``alg`` (``alg`` itself when the radical is zero)."""
+    if radical.is_zero():
+        return alg, tuple
+    space = _wedderburn_complement(alg, Subspace.full(alg.dim), radical)
+    sub, embed, _ = alg.subalgebra(space, name=f"{alg.name}|S")
+    return sub, embed
+
+
 def _wedderburn_complement(alg: AlgebraPresentation, V: Subspace, N: Subspace) -> Subspace:
     n = alg.dim
     while not N.is_zero():

@@ -86,20 +86,7 @@ def _algebra_classify(alg: AlgebraPresentation) -> dict:
                 "dim": f.ideal.dim,
                 "nilpotent": f.is_nilpotent,
                 "radical_dim": f.radical_dim,
-                "simple_factors": [
-                    {
-                        "matrix_degree": sf.matrix_degree,
-                        "division_dim": sf.division_dim,
-                        "division_type": sf.division_type,
-                        "ideal_basis": _basis(sf.ideal.subspace),
-                        "central_idempotent": _coords(sf.central_idempotent.coords),
-                        "primitive_idempotents": [
-                            _coords(p.coords) for p in sf.primitive_idempotents
-                        ],
-                        **_division_certificate(sf.division_certificate),
-                    }
-                    for sf in f.simple_factors
-                ],
+                "simple_factors": [_simple_factor(sf) for sf in f.simple_factors],
             }
         )
     return {
@@ -124,20 +111,28 @@ def _algebra_classify(alg: AlgebraPresentation) -> dict:
     }
 
 
-def _division_certificate(cert) -> dict:
-    """The certificate that the first primitive corner is a division algebra.
+def _simple_factor(sf) -> dict:
+    """One simple factor with its primitive family and the certificate that the
+    first primitive corner is a division algebra.
 
     A corner of dimension 1 is its own certificate, which the verifier
-    recomputes, so split factors carry no entry."""
-    if cert.dim == 1:
-        return {}
-    return {
-        "division_certificate": {
+    recomputes, so split factors carry no certificate entry."""
+    entry = {
+        "matrix_degree": sf.matrix_degree,
+        "division_dim": sf.division_dim,
+        "division_type": sf.division_type,
+        "ideal_basis": _basis(sf.ideal.subspace),
+        "central_idempotent": _coords(sf.central_idempotent.coords),
+        "primitive_idempotents": [_coords(p.coords) for p in sf.primitive_idempotents],
+    }
+    cert = sf.division_certificate
+    if cert.dim > 1:
+        entry["division_certificate"] = {
             "kind": cert.kind,
             "elements": [_coords(v) for v in cert.elements],
             "coefficients": [format_rat(c) for c in cert.coefficients],
         }
-    }
+    return entry
 
 
 def _algebra_radical(alg: AlgebraPresentation) -> dict:
@@ -175,6 +170,7 @@ def _algebra_idempotents(alg: AlgebraPresentation) -> dict:
     if alg.dim > 0 and semiprime_check(alg):
         factors, family = semisimple_decompose(alg)
         body["verdict"]["semiprime"] = True
+        body["certificates"]["simple_factors"] = [_simple_factor(sf) for sf in factors]
         body["certificates"]["primitive_family"] = [_coords(m.coords) for m in family.members]
         body["certificates"]["family_flags"] = family.flags
         unity = find_unity(alg)

@@ -40,54 +40,34 @@ def verify_classify_report(alg: AlgebraPresentation, report: dict):
         _fail("r0 dimension mismatch")
     # R_0 annihilates everything
     for row in r0.basis_rows():
-        for i in range(alg.dim):
-            e = unit_vec(alg.dim, i)
-            if not is_zero_vec(alg.multiply_coords(row, e)) or not is_zero_vec(
-                alg.multiply_coords(e, row)
-            ):
+        for e in (unit_vec(alg.dim, i) for i in range(alg.dim)):
+            if not is_zero_vec(alg.multiply_coords(row, e) + alg.multiply_coords(e, row)):
                 _fail("r0 vector fails to annihilate")
     # every pairwise product avoids the R_0 coordinates
     pivots = set(r0.pivots())
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            prod = alg.basis_product(i, j)
-            if any(prod[c] != 0 for c in pivots):
-                _fail("a product meets the annihilator factor coordinates")
+    products = (alg.basis_product(i, j) for i in range(alg.dim) for j in range(alg.dim))
+    if any(prod[c] != 0 for prod in products for c in pivots):
+        _fail("a product meets the annihilator factor coordinates")
     acc = certs["dimension_accounting"]
     if acc["r0"] + sum(acc["factor_dims"]) != acc["total"] or acc["total"] != alg.dim:
         _fail("dimension accounting does not add up")
     if verdict["s"] != len(certs["factors"]):
         _fail("factor count disagrees with s")
-    # central idempotents are central within the semisimple part: they must
-    # commute with every vector of every reported simple ideal
-    semisimple_rows = [
-        _vec(row)
-        for factor in certs["factors"]
-        for sf in factor["simple_factors"]
-        for row in sf["ideal_basis"]
+    # the factors are the label blocks with a nonzero product; products of
+    # distinct blocks vanish, so the blocks' semisimple parts commute
+    blocks = [
+        (label, block)
+        for label, block in alg.label_blocks()
+        if any(not is_zero_vec(alg.basis_product(i, j)) for i in block for j in block)
     ]
-    for factor in certs["factors"]:
-        for sf in factor["simple_factors"]:
-            prims = [alg.element(_vec(c)) for c in sf["primitive_idempotents"]]
-            central = alg.element(_vec(sf["central_idempotent"]))
-            _check_orthogonal_idempotents(prims)
-            if (central * central) != central:
-                _fail("central idempotent is not idempotent")
-            for row in semisimple_rows:
-                v = alg.element(row)
-                if (central * v) != (v * central):
-                    _fail("central idempotent fails to commute with the semisimple part")
-            if sf["matrix_degree"] != len(prims):
-                _fail("matrix degree disagrees with the primitive family size")
-            total = alg.zero_element()
-            for p in prims:
-                total = total + p
-            if total != central:
-                _fail("primitive family does not sum to the factor's central idempotent")
-            ideal = _space(alg, sf["ideal_basis"])
-            if ideal.dim != sf["matrix_degree"] ** 2 * sf["division_dim"]:
-                _fail("simple factor dimension accounting fails")
-            _check_division_corner(alg, prims[0], sf)
+    if [(f["label"], f["dim"]) for f in certs["factors"]] != [(l, len(b)) for l, b in blocks]:
+        _fail("factors are not the label blocks with a nonzero product")
+    for factor, (_, block) in zip(certs["factors"], blocks):
+        if factor["radical_dim"] != _radical_dim(alg, block):
+            _fail("factor radical dimension is wrong")
+        if factor["nilpotent"] != (factor["radical_dim"] == factor["dim"]):
+            _fail("factor nilpotency disagrees with its radical")
+        _check_split(alg, factor["simple_factors"], alg.block_subspace(block), factor["radical_dim"])
     if verdict["unital"]:
         unity = alg.element(_vec(certs["unity"]))
         for i in range(alg.dim):
@@ -100,8 +80,79 @@ def verify_classify_report(alg: AlgebraPresentation, report: dict):
             _fail("unital report must have trivial annihilator factor")
 
 
-def _check_division_corner(alg: AlgebraPresentation, p, sf: dict):
-    """p A p has dimension ``division_dim`` and is a division algebra for the reported reason.
+def _radical_dim(alg: AlgebraPresentation, block: range) -> int:
+    """dim J(B) for the subalgebra B on the basis elements in ``block``: in
+    characteristic zero J(B) is the radical of t(x, y) = tr(L_{xy}) on B,
+    which holds J(B) and is an ideal on which tr(L_x^k) = 0 for k >= 2, so
+    a nil ideal."""
+    taus = {k: sum(alg.basis_product(k, m)[m] for m in block) for k in block}
+    gram = [[sum(alg.basis_product(a, j)[k] * taus[k] for k in block) for j in block] for a in block]
+    return len(block) - Subspace(len(block), gram).dim
+
+
+def _check_split(alg: AlgebraPresentation, factors: List[dict], space: Subspace, radical_dim: int):
+    """The simple factors and a radical of dimension ``radical_dim`` fill ``space``.
+
+    The factors are matrix rings M_n(D) inside ``space`` with orthogonal
+    central idempotents, so their sum S is a semisimple subalgebra.  S meets
+    the radical J in a nilpotent ideal of S, which is zero, so dim S is at
+    most dim space - dim J; when dim J = ``radical_dim``, equality makes S a
+    complement of J, and then p I p = p A p modulo p J p.
+    """
+    for sf in factors:
+        _check_simple_factor(alg, sf, space)
+    _check_orthogonal_idempotents([alg.element(_vec(sf["central_idempotent"])) for sf in factors])
+    if sum(sf["matrix_degree"] ** 2 * sf["division_dim"] for sf in factors) + radical_dim != space.dim:
+        _fail("simple factors and radical do not fill the factor")
+
+
+def _check_simple_factor(alg: AlgebraPresentation, sf: dict, space: Subspace):
+    """The reported ideal I, inside ``space``, is M_n(D) with the reported primitive family.
+
+    I is closed under multiplication with the central idempotent as its
+    unity; the n primitive idempotents lie in I, are orthogonal and sum to
+    it; every corner p_k I p_k has dimension d; p_1 I p_j . p_j I p_1 != 0 for
+    every j; and p_1 I p_1 is a division algebra by its certificate.  Then
+    p_1 = ab and p_j = ba for some a in p_1 I p_j and b in p_j I p_1, so the
+    p_k are equivalent primitive idempotents and I is the n x n matrix ring
+    over p_1 I p_1.  The corners are taken inside I: p A p also holds p J p.
+    """
+    ideal = _space(alg, sf["ideal_basis"])
+    n, d = sf["matrix_degree"], sf["division_dim"]
+    if ideal.dim != n * n * d:
+        _fail("simple factor dimension accounting fails")
+    if not all(space.contains(row) for row in ideal.basis_rows()):
+        _fail("a simple factor lies outside its factor")
+    members = [alg.element(row) for row in ideal.basis_rows()]
+    if not all(ideal.contains((u * v).coords) for u in members for v in members):
+        _fail("simple factor ideal is not closed under multiplication")
+    central = alg.element(_vec(sf["central_idempotent"]))
+    if not ideal.contains(central.coords) or any(central * u != u or u * central != u for u in members):
+        _fail("central idempotent is not the unity of its simple factor")
+    prims = [alg.element(_vec(c)) for c in sf["primitive_idempotents"]]
+    _check_orthogonal_idempotents(prims)
+    if not prims or n != len(prims):
+        _fail("matrix degree disagrees with the primitive family size")
+    if sum(prims, alg.zero_element()) != central:
+        _fail("primitive family does not sum to the factor's central idempotent")
+    if not all(ideal.contains(p.coords) for p in prims):
+        _fail("a primitive idempotent lies outside its simple factor")
+
+    def corner(e, f):
+        return Subspace(alg.dim, [(e * u * f).coords for u in members])
+
+    first = prims[0]
+    for p in prims:
+        if corner(p, p).dim != d:
+            _fail("a primitive corner does not have the division dimension")
+        there, back = corner(first, p).basis_rows(), corner(p, first).basis_rows()
+        if all(is_zero_vec(alg.multiply_coords(a, b)) for a in there for b in back):
+            _fail("primitive idempotents of one simple factor are not equivalent")
+    _check_division_corner(alg, first, corner(first, first), sf)
+
+
+def _check_division_corner(alg: AlgebraPresentation, p, corner: Subspace, sf: dict):
+    """The corner p I p is a division algebra for the reported reason.
 
     Dimension 1 needs nothing more.  A FIELD certificate is a corner element
     x with mu(x) = 0 for an irreducible monic mu of degree dim, so Q[x] is a
@@ -111,9 +162,6 @@ def _check_division_corner(alg: AlgebraPresentation, p, sf: dict):
     conditions.
     """
     d = sf["division_dim"]
-    corner = Subspace(alg.dim, [(p * b * p).coords for b in alg.basis_elements()])
-    if corner.dim != d:
-        _fail("first primitive corner does not have the division dimension")
     if d == 1:
         return
     cert = sf.get("division_certificate")
@@ -234,13 +282,17 @@ def verify_idempotents_report(alg: AlgebraPresentation, report: dict):
         if e.is_zero() or (e * e) != e:
             _fail("reported idempotent is invalid")
     if "primitive_family" in certs:
+        factors = certs.get("simple_factors")
+        if factors is None:
+            _fail("a primitive family without its simple factors")
+        # filling A leaves no room for a radical, so A is semisimple
+        _check_split(alg, factors, Subspace.full(alg.dim), 0)
         family = [alg.element(_vec(c)) for c in certs["primitive_family"]]
+        prims = [alg.element(_vec(c)) for sf in factors for c in sf["primitive_idempotents"]]
+        if family != prims:
+            _fail("primitive family is not the simple factors' primitive idempotents")
         _check_orthogonal_idempotents(family)
-        unity = alg.element(_vec(certs["unity"]))
-        total = alg.zero_element()
-        for e in family:
-            total = total + e
-        if total != unity:
+        if sum(family, alg.zero_element()) != alg.element(_vec(certs["unity"])):
             _fail("primitive family does not sum to the unity")
 
 

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from ringstruct.algebra import AlgebraPresentation, IdealSpace
+from ringstruct.classify import semisimple_decompose
 from ringstruct.documents import to_object
 from ringstruct.errors import AnnihilatorNonzero, NotIdempotent, NotMinimal
 from ringstruct.generators import (
@@ -21,6 +24,8 @@ from ringstruct.idempotents import (
 )
 from ringstruct.linalg import Subspace, unit_vec
 from ringstruct.radical import is_nilpotent
+
+from oracles import rebase_document
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +112,43 @@ def test_brauer_rejects_non_minimal(m2):
         brauer_idempotent(m2, whole)
 
 
+def _rebased_matrix_algebra(n, seed):
+    return to_object(rebase_document(matrix_algebra(n), random.Random(f"1:m{n}:{seed}")))
+
+
+@pytest.mark.parametrize(
+    "n, seed",
+    [(2, seed) for seed in range(1, 11)] + [(3, seed) for seed in range(1, 11)] + [(4, 1), (4, 2)],
+)
+def test_rebased_minimal_ideals_are_simple_modules(n, seed):
+    # a descent over probe vectors once returned 6-dim "minimal" left ideals
+    # of rebased M3 (seeds 3, 5, 8, 9) and 8- or 12-dim ones of rebased M4
+    alg = _rebased_matrix_algebra(n, seed)
+    for side in ("left", "right"):
+        ideal = minimal_one_sided_ideal(alg, side)
+        assert ideal.dim == n
+        e = brauer_idempotent(alg, ideal)
+        assert principal_ideal(alg, e, side) == ideal.subspace
+
+
+def test_brauer_rejects_the_ideal_of_two_primitive_idempotents():
+    alg = _rebased_matrix_algebra(3, 3)
+    _, family = semisimple_decompose(alg)
+    p1, p2 = family.members[:2]
+    ideal = IdealSpace(alg, principal_ideal(alg, p1 + p2, "left"), "left")
+    assert ideal.dim == 6
+    with pytest.raises(NotMinimal):
+        brauer_idempotent(alg, ideal)
+
+
+def test_brauer_rejects_an_ideal_with_the_dimension_of_a_simple_module():
+    # Q + Q inside Q + Q + M2 has dim 2, as the minimal left ideals of M2 do
+    alg = to_object(direct_sum([matrix_algebra(1), matrix_algebra(1), matrix_algebra(2)]))
+    ideal = IdealSpace(alg, Subspace(6, [unit_vec(6, 0), unit_vec(6, 1)]), "left")
+    with pytest.raises(NotMinimal):
+        brauer_idempotent(alg, ideal)
+
+
 def test_pierce_corners_matrix_units(m2):
     e11 = m2.basis_element(0)
     c11, c10, c01, c00 = pierce_decomposition(m2, e11)
@@ -172,9 +214,9 @@ def test_principal_ideal_shapes(m2):
 
 
 def _unipotent_line_algebra():
-    """Span of 1, E12, E13, E23 inside upper triangular 3x3: unital, and its
-    only small principal right ideal squares to zero with a nilpotent
-    annihilator, forcing the deep recursion of the idempotent search."""
+    """Span of 1, E12, E13, E23 inside upper triangular 3x3: unital, with a
+    3-dim radical, and its minimal right ideals are lines in the radical
+    that square to zero."""
     c = {(0, 0): [1, 0, 0, 0], (1, 3): [0, 0, 1, 0]}
     for i in (1, 2, 3):
         v = [0, 0, 0, 0]

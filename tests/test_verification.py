@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringstruct.documents import to_object
+from ringstruct.documents import algebra_document, to_object
 from ringstruct.errors import InternalInvariantError
 from ringstruct.generators import generate
 from ringstruct.linalg import parse_rat
@@ -111,3 +111,96 @@ def test_verifier_rejects_a_corrupted_certificate_entry(family, params, kind, en
     values[0] = str(parse_rat(values[0]) + 1)
     with pytest.raises(InternalInvariantError, match="certificate verification failed"):
         verify_classify_report(alg, report)
+
+
+def _unit(n, i):
+    return ["1" if k == i else "0" for k in range(n)]
+
+
+def test_idempotents_verifier_rejects_the_unity_as_a_primitive_family():
+    doc = generate("m", {"n": "2"})
+    alg = to_object(doc)
+    report = run_report(doc, "idempotents")
+    verify_idempotents_report(alg, report)
+    certs = report["certificates"]
+    certs["primitive_family"] = [certs["unity"]]
+    with pytest.raises(InternalInvariantError, match="not the simple factors' primitive"):
+        verify_idempotents_report(alg, report)
+    # the simple factor forged to match: a 4-dim corner then needs a certificate
+    sf = certs["simple_factors"][0]
+    sf.update(matrix_degree=1, division_dim=4, primitive_idempotents=[certs["unity"]])
+    with pytest.raises(InternalInvariantError, match="carries no certificate"):
+        verify_idempotents_report(alg, report)
+
+
+@pytest.mark.parametrize(
+    "ideal_rows, message",
+    [
+        ([0, 1, 2, 3], "not closed under multiplication"),  # E11, E12, E13, E21
+        ([0, 4, 8, 5], "division dimension"),  # E11, E22, E33, E23, with the unity of M3
+    ],
+)
+def test_classify_verifier_checks_the_simple_factor_ideal(ideal_rows, message):
+    # M3 forged to degree 2 with the family E11, E22 + E33 and a 4-dim ideal
+    alg, report, sf = _classify("m", n=3)
+    sf.update(
+        matrix_degree=2,
+        primitive_idempotents=[_unit(9, 0), ["0", "0", "0", "0", "1", "0", "0", "0", "1"]],
+        ideal_basis=[_unit(9, i) for i in ideal_rows],
+    )
+    with pytest.raises(InternalInvariantError, match=message):
+        verify_classify_report(alg, report)
+
+
+@pytest.mark.parametrize(
+    "division_dim, ideal_basis, certificate",
+    [
+        (1, [["1", "0", "0", "1"]], None),  # M2 as Q, the line of the unity
+        (  # M2 as Q(i), spanned by 1 and E12 - E21 with (E12 - E21)^2 = -1
+            2,
+            [["1", "0", "0", "1"], ["0", "1", "-1", "0"]],
+            {"kind": "field", "elements": [["0", "1", "-1", "0"]], "coefficients": ["1", "0", "1"]},
+        ),
+    ],
+)
+def test_classify_verifier_ties_the_simple_factors_to_the_algebra(division_dim, ideal_basis, certificate):
+    # each forged factor is a division algebra on its own; only the dimension
+    # count against the recomputed radical shows that it is not all of M2
+    alg, report, sf = _classify("m", n=2)
+    unity = ["1", "0", "0", "1"]
+    sf.update(
+        matrix_degree=1,
+        division_dim=division_dim,
+        ideal_basis=ideal_basis,
+        central_idempotent=unity,
+        primitive_idempotents=[unity],
+    )
+    sf.pop("division_certificate", None)
+    if certificate is not None:
+        sf["division_certificate"] = certificate
+    with pytest.raises(InternalInvariantError, match="do not fill the factor"):
+        verify_classify_report(alg, report)
+
+
+def _dual_numbers():
+    return algebra_document("dual", 2, {(0, 0): [1, 0], (0, 1): [0, 1], (1, 0): [0, 1]})
+
+
+def test_classify_verifier_recomputes_the_radical_dimension():
+    doc = _dual_numbers()
+    alg = to_object(doc)
+    report = run_report(doc, "classify")
+    report["certificates"]["factors"][0]["radical_dim"] = 0
+    with pytest.raises(InternalInvariantError, match="radical dimension is wrong"):
+        verify_classify_report(alg, report)
+
+
+def test_classify_verifier_takes_corners_inside_the_simple_factor():
+    # the dual numbers Q[x]/(x^2): the complement is the line of 1, whose
+    # corner inside A would also hold the radical line of x
+    doc = _dual_numbers()
+    alg = to_object(doc)
+    report = run_report(doc, "classify")
+    [sf] = report["certificates"]["factors"][0]["simple_factors"]
+    assert (sf["matrix_degree"], sf["division_dim"]) == (1, 1)
+    verify_classify_report(alg, report)
