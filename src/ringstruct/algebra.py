@@ -26,11 +26,11 @@ element is passed as its index, so no unit vector is built or scanned.  Its
 columns are the products ``x e_j`` (or ``e_j x``), so the same call serves
 the span of ``x A`` or ``A x`` and every basis-times-vector product.
 Annihilators, the center, centralizers and the unity are kernels (or one
-solve) of stacked operators, and they are fed the integer rows unscaled: a
-kernel does not change when a row is multiplied by a nonzero constant, and
-reduced row-echelon bases are unique, so the results equal those of the
-``Fraction`` matrices entry for entry.  A solve scales its right-hand side
-with its rows.
+solve per label block) of stacked operators, and they are fed the integer
+rows unscaled: a kernel does not change when a row is multiplied by a
+nonzero constant, and reduced row-echelon bases are unique, so the results
+equal those of the ``Fraction`` matrices entry for entry.  A solve scales
+its right-hand side with its rows.
 """
 
 from __future__ import annotations
@@ -592,18 +592,34 @@ def product_span(alg: AlgebraPresentation, u: Subspace, v: Subspace) -> Subspace
 
 
 def find_unity(alg: AlgebraPresentation) -> Optional[Element]:
-    """Solve the linear system ``u e_i = e_i = e_i u`` for all ``i``."""
-    n = alg.dim
-    if n == 0:
+    """The solution u of ``u e_i = e_i = e_i u`` for all ``i``, or None: the
+    unities of the label blocks (see :func:`block_unities`) put together."""
+    parts = block_unities(alg)
+    if not parts or None in parts:
         return None
-    rows, rhs = [], []
-    for i in range(n):
-        for side in ("right", "left"):  # u -> u*e_i, then u -> e_i*u
-            op, scale = alg.operator(i, side)
-            rows.extend(op)
-            rhs.extend(scale if k == i else 0 for k in range(n))
-    sol = solve(RatMatrix._of_rows(rows, n), rhs)
-    return alg.element(sol) if sol is not None else None
+    return alg.element([c for part in parts for c in part])
+
+
+def block_unities(alg: AlgebraPresentation) -> List[Optional[tuple]]:
+    """For each label block, in order, the unity of the subalgebra on its
+    basis elements in the block's own coordinates, or None when it has none.
+
+    Products never leave a label block, so for ``i`` in a block the equations
+    ``u e_i = e_i = e_i u`` involve only that block's coordinates of ``u``:
+    the stacked system splits into one solve per block.  A two-sided unity
+    is unique, so each solve has at most one solution.
+    """
+    out = []
+    for _, block in alg.label_blocks():
+        lo, hi = block.start, block.stop
+        rows, rhs = [], []
+        for i in block:
+            for side in ("right", "left"):  # u -> u*e_i, then u -> e_i*u
+                op, scale = alg.operator(i, side)
+                rows.extend(row[lo:hi] for row in op[lo:hi])
+                rhs.extend(scale if k == i else 0 for k in block)
+        out.append(solve(RatMatrix._of_rows(rows, hi - lo), rhs))
+    return out
 
 
 class ElementClassification:

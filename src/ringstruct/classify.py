@@ -4,31 +4,35 @@ A semiprime algebra splits into simple two-sided ideals cut out by the
 primitive idempotents of its center.  Inside each simple factor the unity is
 split corner by corner: a zero divisor y of the corner eAe (found through
 minimal polynomials, or as an isotropic vector of the quaternion norm form)
-gives the idempotent f = yz with yzy = y, and e splits into f and e - f.  A
-corner that cannot split carries a certificate that it is a division algebra:
-dimension 1, an irreducible minimal polynomial of full degree, or an
-anisotropic norm form.  The number of primitive idempotents is the matrix
-degree and their corner is the division algebra.  The classifier assembles
-the whole verdict: annihilator factor, per-label algebra factors, radical,
-semisimple data, and unitality.
+gives the idempotent f = yz with yzy = y, and e splits into f and e - f; the
+same solve splits the center at the zero divisors that the factors of a
+minimal polynomial give.  A corner that cannot split carries a certificate
+that it is a division algebra: dimension 1, an irreducible minimal
+polynomial of full degree, or an anisotropic norm form.  The number of
+primitive idempotents is the matrix degree and their corner is the division
+algebra.  One scan of the label blocks splits off the null blocks, which
+span the annihilator factor R_0; the classifier adds each other block's
+radical and semisimple data, and unitality, and the minimal unitization
+adjoins one Dorroh line per block without a unity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
     AlgebraPresentation,
     Element,
     IdealSpace,
-    algebra_annihilator,
+    block_unities,
     center,
     find_unity,
     generated_subring,
     multiplicative_closure,
-    product_span,
 )
 from .errors import (
     InternalInvariantError,
@@ -178,62 +182,6 @@ class DivisionCertificate:
 # -- polynomial helpers over Q ----------------------------------------------
 
 
-def _poly_trim(p: List[Fraction]) -> List[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a, b):
-    out = [ZERO] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    b = _poly_trim(list(b))
-    q = [ZERO] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and _poly_trim(list(a)):
-        a = _poly_trim(a)
-        if len(a) < len(b):
-            break
-        c = a[-1] / b[-1]
-        d = len(a) - len(b)
-        q[d] = c
-        for i in range(len(b)):
-            a[d + i] -= c * b[i]
-        a = _poly_trim(a)
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_xgcd(a, b):
-    """Extended Euclid in Q[t]; returns (g, u, v) with u a + v b = g, g monic."""
-    r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
-    s0, s1 = [ONE], []
-    t0, t1 = [], [ONE]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_trim([x - y for x, y in _pad(s0, _poly_mul(q, s1))])
-        t0, t1 = t1, _poly_trim([x - y for x, y in _pad(t0, _poly_mul(q, t1))])
-    if r0:
-        lead = r0[-1]
-        r0 = [x / lead for x in r0]
-        s0 = [x / lead for x in s0]
-        t0 = [x / lead for x in t0]
-    return r0, s0, t0
-
-
-def _pad(a, b):
-    m = max(len(a), len(b))
-    return zip(list(a) + [ZERO] * (m - len(a)), list(b) + [ZERO] * (m - len(b)))
-
-
 def minimal_polynomial(alg: AlgebraPresentation, x: Element, unity: Element) -> List[Fraction]:
     """Monic minimal polynomial of x, coefficients low-to-high."""
     n = alg.dim
@@ -250,8 +198,7 @@ def minimal_polynomial(alg: AlgebraPresentation, x: Element, unity: Element) -> 
             sol = solve(mat, powers[-1])
             if sol is None:
                 raise InternalInvariantError("minimal polynomial solve failed")
-            poly = [-s for s in sol] + [ONE]
-            return _poly_trim(list(poly))
+            return [-s for s in sol] + [ONE]
     raise InternalInvariantError("no minimal polynomial within dimension bound")
 
 
@@ -344,10 +291,13 @@ def _primitive_element(zalg: AlgebraPresentation, unity: Element) -> Tuple[Eleme
 def central_primitive_idempotents(alg: AlgebraPresentation) -> List[Element]:
     """Identity decomposition of the center of a semiprime unital algebra.
 
-    Splits the (commutative, semisimple) center by factoring the minimal
-    polynomial of a primitive element and applying the CRT idempotent
-    formula c_i = (mu/f_i) * ((mu/f_i)^{-1} mod f_i) evaluated at the
-    primitive element.
+    The center Z is commutative and semisimple, a product K_1 x ... x K_k of
+    fields, and the minimal polynomial of a primitive element z factors as
+    mu = f_1 ... f_k with f_i the minimal polynomial of z's component in K_i.
+    So g_i = prod_{j != i} f_j(z) vanishes in every field but K_i, where it
+    is nonzero: the corner splitter's solve of g_i w g_i = g_i gives
+    c_i = g_i w, the unity of K_i, whatever solution w it picks.  The c_i
+    come in the canonical order of the factors f_i.
     """
     unity = find_unity(alg)
     if unity is None:
@@ -363,25 +313,15 @@ def central_primitive_idempotents(alg: AlgebraPresentation) -> List[Element]:
         raise InternalInvariantError("minimal polynomial of a semisimple element not squarefree")
     if len(factors) == 1:
         return [unity]
+    values = [_eval_poly(zalg, f, z, zunity) for f, _ in factors]
     idems = []
-    for f, _ in factors:
-        g, rem = _poly_divmod(mu, f)
-        if rem:
-            raise InternalInvariantError("factor does not divide the minimal polynomial")
-        gcd, u, v = _poly_xgcd(g, f)
-        if len(gcd) != 1:
-            raise InternalInvariantError("cofactor not invertible modulo its factor")
-        # c = g(z) * u(z) scaled so that g*u = 1 mod f (gcd already monic == [1])
-        scale = gcd[0]  # == 1
-        gu = _poly_mul(g, u)
-        c = _eval_poly(zalg, gu, z, zunity)
-        idems.append(alg.element(embed(c.coords)))
-    total = alg.zero_element()
-    for c in idems:
-        if (c * c) != c:
-            raise InternalInvariantError("CRT idempotent failed e^2 = e")
-        total = total + c
-    if total != unity:
+    for i in range(len(values)):
+        g = reduce(mul, values[:i] + values[i + 1:])
+        idems.append(alg.element(embed(_idempotent_through(zalg, g, zunity).coords)))
+    for i, c in enumerate(idems):  # central, so c d = d c
+        if (c * c) != c or any(not (c * d).is_zero() for d in idems[:i]):
+            raise InternalInvariantError("central idempotents are not orthogonal idempotents")
+    if sum(idems, alg.zero_element()) != unity:
         raise InternalInvariantError("central idempotents do not sum to the unity")
     return idems
 
@@ -642,9 +582,6 @@ def semisimple_decompose(
         raise ZeroAlgebra("cannot decompose the zero algebra")
     if not semiprime_check(alg):
         raise NotSemiprime("semisimple_decompose requires a zero radical")
-    unity = find_unity(alg)
-    if unity is None:
-        raise InternalInvariantError("semiprime algebra without unity")
     centrals = central_primitive_idempotents(alg)
     n = alg.dim
     factors: List[SimpleFactorReport] = []
@@ -1004,33 +941,35 @@ def complement_factors(alg: AlgebraPresentation, radical: Subspace) -> List[Simp
     return [sf.mapped(alg, embed) for sf in semisimple_decompose(calg)[0]]
 
 
+def label_split(alg: AlgebraPresentation) -> Tuple[List[Tuple[str, range]], List[Tuple[str, range]]]:
+    """The label blocks that are factors, and the null blocks, in coordinate order.
+
+    A block is a factor exactly when the table has a nonzero product e_i e_j
+    with i in the block.  Products never leave a block, so every other
+    block B satisfies B A = A B = 0 and lies in Ann(A).
+    """
+    acting = {i for i, _ in alg._int_table}
+    factors, null = [], []
+    for label, block in alg.label_blocks():
+        (null if acting.isdisjoint(block) else factors).append((label, block))
+    return factors, null
+
+
 def classify(alg: AlgebraPresentation) -> ClassificationReport:
     """Split into an annihilator factor and one non-null factor per field label.
 
-    The span P of all pairwise basis products decomposes along label blocks;
-    blocks meeting P are the non-null factors, the remaining blocks are null
-    and form the annihilator factor R_0 (the deterministic complement inside
-    Ann(A) of Ann(A) intersected with the reachable blocks).  Each non-null
-    factor carries its radical, its complement's simple decomposition, and
-    the label as field witness.
+    The label blocks with a nonzero product are the non-null factors (see
+    :func:`label_split`); the null blocks span the annihilator factor R_0.
+    Blocks use disjoint coordinates, so R_0 is the canonical complement,
+    inside Ann(A), of the part of Ann(A) in the factors.  Each non-null factor
+    carries its radical, its complement's simple decomposition, and the
+    label as field witness.
     """
     n = alg.dim
-    products = product_span(alg, Subspace.full(n), Subspace.full(n))
-    ann = algebra_annihilator(alg).subspace
-    reachable: List[Tuple[str, range]] = []
-    unreachable: List[Tuple[str, range]] = []
-    for label, block in alg.label_blocks():
-        block_space = alg.block_subspace(block)
-        if not products.intersect(block_space).is_zero():
-            reachable.append((label, block))
-        else:
-            unreachable.append((label, block))
-    reach_space = Subspace(
-        n, [unit_vec(n, i) for _, block in reachable for i in block]
-    )
-    r0_space = ann.intersect(reach_space).complement_in(ann)
+    blocks, null = label_split(alg)
+    r0_space = Subspace(n, [unit_vec(n, i) for _, block in null for i in block])
     factors = []
-    for label, block in reachable:
+    for label, block in blocks:
         block_space = alg.block_subspace(block)
         sub, embed, _ = alg.subalgebra(block_space, name=f"{alg.name}|{label}")
         cert = is_nilpotent(sub)
@@ -1044,14 +983,14 @@ def classify(alg: AlgebraPresentation) -> ClassificationReport:
     return ClassificationReport(
         alg.name,
         n,
-        len(reachable),
+        len(blocks),
         r0_space.dim,
         r0_space,
         factors,
         unital,
         unity,
         unity_subring_dim,
-        [label for label, _ in reachable],
+        [label for label, _ in blocks],
     )
 
 
@@ -1075,80 +1014,65 @@ def dorroh_unitization(
         raise ValidationError(
             "dorroh_unitization needs a single-label algebra matching the new line's label"
         )
-    n = alg.dim
-    constants = {(0, 0): unit_vec(n + 1, 0)}
-    for i in range(n):
-        constants[(0, i + 1)] = unit_vec(n + 1, i + 1)
-        constants[(i + 1, 0)] = unit_vec(n + 1, i + 1)
-    for (i, j), sparse in alg.sparse_table().items():
-        dense = [ZERO] * (n + 1)
-        for k, c in sparse:
-            dense[k + 1] = c
-        constants[(i + 1, j + 1)] = tuple(dense)
-    out = AlgebraPresentation(
-        f"{alg.name}^",
-        n + 1,
-        constants,
-        field_labels=[label] * (n + 1),
-        basis_names=["u"] + list(alg.basis_names),
-    )
-    return out, list(range(1, n + 1))
+    return _adjoin_lines(alg, [(range(alg.dim), label, "u")])
 
 
 def minimal_unitization(alg: AlgebraPresentation) -> Tuple[AlgebraPresentation, List[int]]:
     """Smallest unital algebra containing the input as a two-sided ideal.
 
-    Unital inputs come back unchanged.  Otherwise every non-unital label
-    block receives its own scalar line acting as that block's unity (a
-    Dorroh line per factor; annihilator blocks get an acting line the same
-    way).  The dimension increase is at most dim R_0 + s and the result is
-    unital.
+    Unital inputs come back unchanged.  Otherwise every label block without
+    a unity of its own (each null block of R_0, and each factor whose
+    subalgebra has none) receives a Dorroh line placed before it, acting as
+    that block's unity.  The dimension increase is at most dim R_0 + s.
+    Products never leave a block, so the new lines and the unities of the
+    other blocks sum to the unity of the result, which is checked.
     """
-    if alg.dim == 0 or find_unity(alg) is not None:
-        return alg, list(range(alg.dim))
-    n = alg.dim
     blocks = alg.label_blocks()
-    new_labels: List[str] = []
-    new_names: List[str] = []
-    position: Dict[int, int] = {}
-    line_for_block: Dict[int, int] = {}
-    cursor = 0
-    for b_idx, (label, block) in enumerate(blocks):
-        sub, _, _ = alg.subalgebra(alg.block_subspace(block), name=f"{alg.name}|{label}")
-        block_unital = find_unity(sub) is not None and sub.dim > 0
-        if not block_unital:
-            line_for_block[b_idx] = cursor
-            new_labels.append(label)
-            new_names.append(f"u_{label}")
-            cursor += 1
-        for i in block:
-            position[i] = cursor
-            new_labels.append(alg.field_labels[i])
-            new_names.append(alg.basis_names[i])
-            cursor += 1
-    total = cursor
+    unities = block_unities(alg)
+    if None not in unities:
+        return alg, list(range(alg.dim))
+    out, embedding = _adjoin_lines(
+        alg, [(block, label, f"u_{label}") for (label, block), u in zip(blocks, unities) if u is None]
+    )
+    coords = [ONE] * out.dim  # 1 on each new line
+    for (_, block), part in zip(blocks, unities):
+        for k, i in enumerate(block):
+            coords[embedding[i]] = part[k] if part else ZERO
+    left, scale = out.operator(coords, "left")
+    identity = [[scale if j == k else 0 for j in range(out.dim)] for k in range(out.dim)]
+    if left != identity or out.operator(coords, "right")[0] != identity:
+        raise InternalInvariantError("minimal unitization failed to produce a unity")
+    return out, embedding
+
+
+def _adjoin_lines(
+    alg: AlgebraPresentation, lines: Sequence[Tuple[range, str, str]]
+) -> Tuple[AlgebraPresentation, List[int]]:
+    """``alg`` with one scalar line per ``(block, label, name)``, placed before
+    the block, squaring to itself and acting as the identity on the block;
+    and the positions of the old basis elements."""
+    n = alg.dim
+    before = {line[0].start: line for line in lines}
+    position, placed, basis = [], [], []  # basis holds (label, name) pairs
+    for i in range(n + 1):
+        if i in before:
+            block, label, name = before[i]
+            placed.append((len(basis), block))
+            basis.append((label, name))
+        if i < n:
+            position.append(len(basis))
+            basis.append((alg.field_labels[i], alg.basis_names[i]))
+    total = len(basis)
+    labels, names = zip(*basis)
     constants: Dict[Tuple[int, int], tuple] = {}
     for (i, j), sparse in alg.sparse_table().items():
         dense = [ZERO] * total
         for k, c in sparse:
             dense[position[k]] = c
         constants[(position[i], position[j])] = tuple(dense)
-    for b_idx, (label, block) in enumerate(blocks):
-        if b_idx not in line_for_block:
-            continue
-        u = line_for_block[b_idx]
+    for u, block in placed:
         constants[(u, u)] = unit_vec(total, u)
         for i in block:
-            constants[(u, position[i])] = unit_vec(total, position[i])
-            constants[(position[i], u)] = unit_vec(total, position[i])
-    out = AlgebraPresentation(
-        f"{alg.name}^",
-        total,
-        constants,
-        field_labels=new_labels,
-        basis_names=new_names,
-    )
-    if find_unity(out) is None:
-        raise InternalInvariantError("minimal unitization failed to produce a unity")
-    embedding = [position[i] for i in range(n)]
-    return out, embedding
+            constants[(u, position[i])] = constants[(position[i], u)] = unit_vec(total, position[i])
+    out = AlgebraPresentation(f"{alg.name}^", total, constants, field_labels=labels, basis_names=names)
+    return out, position

@@ -194,7 +194,7 @@ def jacobson_radical(alg: AlgebraPresentation, _verify: bool = True) -> IdealSpa
 def _verify_radical(alg: AlgebraPresentation, radical: IdealSpace):
     if not _subspace_nilpotent(alg, radical.subspace):
         raise InternalInvariantError("computed radical is not nilpotent")
-    if radical.dim < alg.dim:
+    if 0 < radical.dim < alg.dim:  # A/0 is A, whose radical was just computed
         quotient, _ = quotient_algebra(alg, radical)
         again = jacobson_radical(quotient, _verify=False)
         if again.dim != 0:
@@ -274,7 +274,7 @@ def quotient_algebra(
 # -- radical complement (Wedderburn-Malcev) ---------------------------------
 
 
-def radical_complement(alg: AlgebraPresentation, _verify: bool = True) -> IdealSpace:
+def radical_complement(alg: AlgebraPresentation) -> IdealSpace:
     """A subalgebra S with S (+) J = A, isomorphic to A/J under the projection.
 
     Construction: while the radical N of the current subalgebra V is
@@ -286,11 +286,15 @@ def radical_complement(alg: AlgebraPresentation, _verify: bool = True) -> IdealS
     correction always exists for semisimple quotients in characteristic
     zero.
     """
-    space = _wedderburn_complement(alg, Subspace.full(alg.dim), jacobson_radical(alg).subspace)
-    result = IdealSpace(alg, space, "subring-only")
-    if _verify and space.dim + jacobson_radical(alg, _verify=False).dim != alg.dim:
+    return complement_of(alg, jacobson_radical(alg).subspace)
+
+
+def complement_of(alg: AlgebraPresentation, radical: Subspace) -> IdealSpace:
+    """The Wedderburn complement of the given radical of ``alg``, as a subring."""
+    space = _wedderburn_complement(alg, Subspace.full(alg.dim), radical)
+    if space.dim + radical.dim != alg.dim:
         raise InternalInvariantError("radical complement has wrong dimension")
-    return result
+    return IdealSpace(alg, space, "subring-only")
 
 
 def complement_algebra(alg: AlgebraPresentation, radical: Subspace):

@@ -13,7 +13,7 @@ import json
 from typing import Dict, List, Optional
 
 from .algebra import AlgebraPresentation, find_unity
-from .classify import classify, minimal_unitization
+from .classify import classify, label_split, minimal_unitization, semiprime_check, semisimple_decompose
 from .documents import (
     KIND_ALGEBRA,
     KIND_FINITE,
@@ -34,8 +34,7 @@ from .finite import (
 from .idempotents import find_idempotent
 from .linalg import format_rat
 from .mixed import MixedRing, finite_connected_split, torsion_ideal
-from .radical import is_nilpotent, jacobson_radical, radical_complement
-from .classify import semiprime_check, semisimple_decompose
+from .radical import complement_of, is_nilpotent, jacobson_radical
 
 COMMANDS = ("classify", "radical", "idempotents", "unitize", "oracle")
 
@@ -138,7 +137,7 @@ def _simple_factor(sf) -> dict:
 def _algebra_radical(alg: AlgebraPresentation) -> dict:
     radical = jacobson_radical(alg)
     cert = is_nilpotent(alg)
-    complement = radical_complement(alg)
+    complement = complement_of(alg, radical.subspace)
     body = {
         "dim": alg.dim,
         "verdict": {
@@ -181,7 +180,7 @@ def _algebra_idempotents(alg: AlgebraPresentation) -> dict:
 
 
 def _algebra_unitize(alg: AlgebraPresentation) -> dict:
-    rep = classify(alg)
+    factors, null = label_split(alg)
     out, embedding = minimal_unitization(alg)
     unity = find_unity(out)
     return {
@@ -191,7 +190,7 @@ def _algebra_unitize(alg: AlgebraPresentation) -> dict:
             "dim_before": alg.dim,
             "dim_after": out.dim,
             "increment": out.dim - alg.dim,
-            "bound": rep.r0_dim + rep.s,
+            "bound": sum(len(block) for _, block in null) + len(factors),
         },
         "certificates": {
             "embedding": list(embedding),

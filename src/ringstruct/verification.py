@@ -53,13 +53,8 @@ def verify_classify_report(alg: AlgebraPresentation, report: dict):
         _fail("dimension accounting does not add up")
     if verdict["s"] != len(certs["factors"]):
         _fail("factor count disagrees with s")
-    # the factors are the label blocks with a nonzero product; products of
-    # distinct blocks vanish, so the blocks' semisimple parts commute
-    blocks = [
-        (label, block)
-        for label, block in alg.label_blocks()
-        if any(not is_zero_vec(alg.basis_product(i, j)) for i in block for j in block)
-    ]
+    # products of distinct blocks vanish, so the blocks' semisimple parts commute
+    blocks = [(label, block) for label, block in alg.label_blocks() if _is_factor(alg, block)]
     if [(f["label"], f["dim"]) for f in certs["factors"]] != [(l, len(b)) for l, b in blocks]:
         _fail("factors are not the label blocks with a nonzero product")
     for factor, (_, block) in zip(certs["factors"], blocks):
@@ -78,6 +73,12 @@ def verify_classify_report(alg: AlgebraPresentation, report: dict):
             _fail("unital report must have unity subring dimension s")
         if verdict["r0_dim"] != 0:
             _fail("unital report must have trivial annihilator factor")
+
+
+def _is_factor(alg: AlgebraPresentation, block: range) -> bool:
+    """The factors of A are the label blocks with a nonzero product; the
+    others are null and make up R_0."""
+    return any(not is_zero_vec(alg.basis_product(i, j)) for i in block for j in block)
 
 
 def _radical_dim(alg: AlgebraPresentation, block: range) -> int:
@@ -297,14 +298,29 @@ def verify_idempotents_report(alg: AlgebraPresentation, report: dict):
 
 
 def verify_unitize_report(alg: AlgebraPresentation, report: dict):
-    """The unitized document must be unital and contain the image as a two-sided ideal."""
+    """The unitized document must be unital and contain the image as a two-sided ideal.
+
+    The verdict's dimensions are those of ``alg`` and of the document, and
+    the bound dim R_0 + s is recomputed from the label blocks of ``alg``.
+    """
     from .documents import parse, to_object
 
     certs = report["certificates"]
     verdict = report["verdict"]
-    if verdict["increment"] > verdict["bound"]:
-        _fail("unitization increment exceeds its bound")
     out = to_object(parse(certs["document"]))
+    bound = sum(1 if _is_factor(alg, block) else len(block) for _, block in alg.label_blocks())
+    expected = {
+        "dim_before": alg.dim,
+        "dim_after": out.dim,
+        "increment": out.dim - alg.dim,
+        "already_unital": out.dim == alg.dim,
+        "bound": bound,
+    }
+    for key, value in expected.items():
+        if verdict[key] != value:
+            _fail(f"unitization verdict {key} is not {value}")
+    if out.dim - alg.dim > bound:
+        _fail("unitization increment exceeds its bound")
     embedding = certs["embedding"]
     if len(embedding) != alg.dim:
         _fail("embedding length mismatch")

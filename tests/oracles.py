@@ -609,3 +609,70 @@ def operator_algebras(draw):
         )
         alg = rescale(alg, draw(st.lists(scale, min_size=alg.dim, max_size=alg.dim)))
     return alg
+
+
+# Classification references: the annihilator-factor construction that the
+# block scan replaced, and central idempotents by the Chinese remainder
+# theorem in Q[t] with sympy's polynomial division and extended Euclid.
+
+
+def reference_r0_space(alg):
+    """(R_0 basis rows, factor labels): the label blocks meeting the span P of
+    all basis products are the factors, and R_0 is the canonical complement
+    inside Ann(A) of Ann(A) intersected with the factor blocks."""
+    n = alg.dim
+    units = [unit_vec(n, i) for i in range(n)]
+    products = reference_rref_rows(
+        [alg.basis_product(i, j) for i in range(n) for j in range(n)]
+    )
+    ann = reference_annihilators(alg, units)[2].basis_rows()
+    factors = [
+        (label, block)
+        for label, block in alg.label_blocks()
+        if reference_intersect(products, [units[i] for i in block], n)
+    ]
+    reach = [units[i] for _, block in factors for i in block]
+    r0 = reference_complement(reference_intersect(ann, reach, n), ann)
+    return [tuple(row) for row in r0], [label for label, _ in factors]
+
+
+def reference_central_idempotents(alg):
+    """The central primitive idempotents of a semisimple algebra, as a set of
+    coordinate tuples.
+
+    z = sum_k lam^k b_k over a center basis, for the first lam whose minimal
+    polynomial mu has the center's degree; for each irreducible factor f of
+    mu, c_f = (s g)(z) with g = mu / f and s g = 1 mod f.
+    """
+    import sympy
+
+    t = sympy.Symbol("t")
+    unity = reference_find_unity(alg)
+    zbasis = reference_center(alg).basis_rows()
+    for lam in range(1, 50):
+        z = [sum((F(lam) ** k * b[c] for k, b in enumerate(zbasis)), F(0)) for c in range(alg.dim)]
+        powers = [unity]
+        while True:
+            nxt = alg.multiply_coords(z, powers[-1])
+            low = reference_solve([list(col) for col in zip(*powers)], len(powers), nxt)
+            if low is not None:
+                break
+            powers.append(nxt)
+        if len(powers) == len(zbasis):
+            break
+    else:
+        raise AssertionError("no primitive central element among the tried combinations")
+    mu = t ** len(powers) - sum(sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(low))
+    out = set()
+    for f, mult in sympy.factor_list(mu, t, domain="QQ")[1]:
+        assert mult == 1
+        g, rem = sympy.div(mu, f, t)
+        assert rem == 0
+        s, _, h = sympy.gcdex(g, f, t)
+        assert h == 1
+        coeffs = sympy.Poly(sympy.rem(sympy.expand(s * g), mu, t), t).all_coeffs()[::-1]
+        c = [F(0)] * alg.dim
+        for a, p in zip(coeffs, powers):
+            c = [x + F(int(a.p), int(a.q)) * y for x, y in zip(c, p)]
+        out.add(tuple(c))
+    return out

@@ -50,7 +50,12 @@ from ringstruct.radical import is_nilpotent, jacobson_radical
 from ringstruct.reports import run_report
 from ringstruct.verification import verify_classify_report, verify_idempotents_report
 
-from oracles import rebase_document
+from oracles import (
+    operator_algebras,
+    rebase_document,
+    reference_central_idempotents,
+    reference_r0_space,
+)
 
 
 def test_semiprime_and_prime_examples():
@@ -390,6 +395,51 @@ def test_classify_r0_and_products(corpus):
             assert rep.unity_subring_dim == rep.s and rep.r0_dim == 0
 
 
+NULL_BLOCK_SUMS = [
+    direct_sum([null_ring(2), relabel(matrix_algebra(2), "K2"), relabel(strictly_upper(3), "K3")]),
+    direct_sum([matrix_algebra(2), relabel(null_ring(1), "K2"), relabel(null_ring(2), "K3")]),
+    direct_sum([strictly_upper(2), relabel(annihilator_gap(1), "K2"), relabel(null_ring(1), "K3")]),
+]
+
+
+def _check_r0_against_reference(alg):
+    rep = classify(alg)
+    rows, labels = reference_r0_space(alg)
+    assert rep.r0_space.basis_rows() == rows
+    assert rep.field_witnesses == labels
+
+
+@pytest.mark.parametrize("doc", NULL_BLOCK_SUMS, ids=lambda d: d.name)
+def test_classify_r0_matches_the_annihilator_complement(doc):
+    _check_r0_against_reference(to_object(doc))
+
+
+@settings(max_examples=25, deadline=None)
+@given(operator_algebras())
+def test_classify_r0_matches_the_annihilator_complement_in_any_basis(alg):
+    _check_r0_against_reference(alg)
+
+
+CENTER_SUMS = [
+    [base_field(), base_field()],
+    [base_field(), quadratic_line()],
+    [quadratic_line(), matrix_algebra(2)],
+    [matrix_algebra(2), quaternion()],
+    [base_field(), quadratic_line(), matrix_algebra(2), quaternion()],
+]
+
+
+@pytest.mark.parametrize("parts", CENTER_SUMS, ids=lambda ps: "+".join(p.name for p in ps))
+@pytest.mark.parametrize("seed", [None, 3, 11])
+def test_central_idempotents_match_the_crt_reference(parts, seed):
+    doc = direct_sum(parts)
+    if seed is not None:
+        doc = rebase_document(doc, random.Random(seed))
+    alg = to_object(doc)
+    centrals = [c.coords for c in central_primitive_idempotents(alg)]
+    assert len(centrals) == len(parts) and set(centrals) == reference_central_idempotents(alg)
+
+
 def test_central_idempotents_split_gaussian_pair():
     doc = direct_sum([quadratic_line(), quadratic_line()], name="CxC")
     alg = to_object(doc)
@@ -447,6 +497,15 @@ def test_minimal_unitization_strictly_upper():
             e = unit_vec(out.dim, i)
             assert image.contains(out.multiply_coords(row, e))
             assert image.contains(out.multiply_coords(e, row))
+
+
+def test_minimal_unitization_adds_one_line_for_the_one_block_without_unity():
+    alg = to_object(direct_sum([matrix_algebra(2), relabel(strictly_upper(3), "K2")]))
+    assert find_unity(alg) is None
+    out, embedding = minimal_unitization(alg)
+    assert out.dim == alg.dim + 1 and embedding == [0, 1, 2, 3, 5, 6, 7]
+    assert out.field_labels[4] == "K2" and out.basis_names[4] == "u_K2"
+    assert find_unity(out).coords == (1, 0, 0, 1, 1, 0, 0, 0)
 
 
 def test_minimal_unitization_identity_on_unital():

@@ -204,3 +204,18 @@ def test_classify_verifier_takes_corners_inside_the_simple_factor():
     [sf] = report["certificates"]["factors"][0]["simple_factors"]
     assert (sf["matrix_degree"], sf["division_dim"]) == (1, 1)
     verify_classify_report(alg, report)
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [("bound", 99), ("dim_before", 1), ("dim_after", 99), ("increment", 0), ("already_unital", True)],
+)
+def test_unitize_verifier_rejects_a_forged_verdict(entry, value):
+    # T4 (dim 6, nilpotent) needs one line: dim_after 7, increment 1, bound 1
+    doc = generate("t", {"n": "4"})
+    alg = to_object(doc)
+    report = run_report(doc, "unitize")
+    verify_unitize_report(alg, report)
+    report["verdict"][entry] = value
+    with pytest.raises(InternalInvariantError, match=f"unitization verdict {entry} is not"):
+        verify_unitize_report(alg, report)
