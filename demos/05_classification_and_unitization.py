@@ -40,7 +40,7 @@ print("\nsmallest unital extensions:")
 for doc in (strictly_upper(3), null_ring(1)):
     alg = to_object(doc)
     rep = classify(alg)
-    out, embedding = minimal_unitization(alg)
+    out, embedding, _ = minimal_unitization(alg)
     print(
         f"  {alg.name}: dim {alg.dim} -> {out.dim}"
         f" (increment {out.dim - alg.dim} <= bound {rep.r0_dim + rep.s});"

@@ -282,9 +282,6 @@ class AlgebraPresentation:
     def block_subspace(self, block: range) -> Subspace:
         return Subspace(self.dim, [unit_vec(self.dim, i) for i in block])
 
-    def full_subspace(self) -> Subspace:
-        return Subspace.full(self.dim)
-
     # -- derived presentations -------------------------------------------
 
     def subalgebra(self, space: Subspace, name: Optional[str] = None):
@@ -292,8 +289,12 @@ class AlgebraPresentation:
 
         Returns ``(algebra, embed, restrict)`` where ``embed`` maps
         sub-coordinates to ambient coordinates and ``restrict`` maps an
-        ambient member vector back to sub-coordinates.
+        ambient member vector back to sub-coordinates.  The whole space has
+        the standard basis as its canonical basis, so it gives this algebra
+        itself, with identity maps.
         """
+        if space.dim == self.dim:
+            return self, tuple, tuple
         rows = space.basis_rows()
         d = space.dim
         labels = []
@@ -545,34 +546,30 @@ def multiplicative_closure(alg: AlgebraPresentation, vectors: Sequence) -> Subsp
 
 
 def power_span(alg: AlgebraPresentation, k: int) -> Subspace:
-    """Linear span of all k-fold products of basis elements.
+    """Linear span ``P_k`` of all k-fold products of basis elements.
 
-    ``P_1`` is the whole algebra and ``P_{k+1}`` is spanned by products of a
-    basis element with a basis vector of ``P_k``, on either side.  The chain
-    is monotone decreasing, so it stabilizes after at most ``dim`` strict
-    drops.
+    ``P_1`` is the whole algebra and ``P_{k+1} = A P_k``, which is also
+    ``P_k A`` (see :func:`_power_chain`).  The chain is monotone decreasing,
+    so it stabilizes after at most ``dim`` strict drops.
     """
     if k < 1:
         raise ValidationError("power_span requires k >= 1")
-    return _power_chain(alg, k)[-1]
+    return _power_chain(alg, Subspace.full(alg.dim), k)[-1]
 
 
-def _power_chain(alg: AlgebraPresentation, k: int) -> List[Subspace]:
-    current = Subspace.full(alg.dim)
+def _power_chain(alg: AlgebraPresentation, space: Subspace, k: int) -> List[Subspace]:
+    """``[S, S^2, ..., S^k]`` for S = ``space``, with ``S^(j+1) = S S^j``.
+
+    For a multiplication-closed S the chain decreases, so once it repeats or
+    reaches 0 it stays there, and the remaining terms are padded with it.
+    """
+    current = space
     chain = [current]
-    for _ in range(k - 1):
-        products = [
-            col
-            for v in current.basis_rows()
-            for side in ("right", "left")  # e_i v, then v e_i
-            for col in zip(*alg.operator(v, side)[0])
-        ]
-        nxt = Subspace(alg.dim, products)
+    while len(chain) < k:
+        nxt = product_span(alg, space, current)
         chain.append(nxt)
         if nxt == current or nxt.is_zero():
-            # stabilized: remaining terms repeat
-            while len(chain) < k:
-                chain.append(nxt)
+            chain.extend([nxt] * (k - len(chain)))
             break
         current = nxt
     return chain

@@ -60,7 +60,6 @@ from .radical import (
     _left_mult_traces,
     complement_algebra,
     element_nilpotency,
-    is_nilpotent,
     jacobson_radical,
 )
 
@@ -135,7 +134,10 @@ class SimpleFactorReport:
         self.division_certificate = division_certificate
 
     def mapped(self, alg: AlgebraPresentation, embed) -> "SimpleFactorReport":
-        """The same factor inside ``alg``, which ``embed`` carries coordinates into."""
+        """The same factor inside ``alg``, which ``embed`` carries coordinates into;
+        the factor itself when it already lies in ``alg``."""
+        if self.ideal.algebra is alg:
+            return self
         rows = [embed(r) for r in self.ideal.subspace.basis_rows()]
         return SimpleFactorReport(
             IdealSpace(alg, Subspace(alg.dim, rows), "subring-only"),
@@ -346,11 +348,8 @@ def _primitive_idempotent(alg: AlgebraPresentation, e: Element) -> Tuple[Element
     space = Subspace(alg.dim, _corner_products(alg, e, e)[0])
     if space.dim == 1:
         return e, DivisionCertificate(LINE, 1, [], [])
-    if space.dim == alg.dim:
-        corner, embed, unity = alg, tuple, e
-    else:
-        corner, embed, restrict = alg.subalgebra(space, name=f"{alg.name}|e")
-        unity = corner.element(restrict(e.coords))
+    corner, embed, restrict = alg.subalgebra(space, name=f"{alg.name}|e")
+    unity = corner.element(restrict(e.coords))
     found = _certify_or_split(corner, unity)
     if isinstance(found, DivisionCertificate):
         return e, found.mapped(embed)
@@ -402,11 +401,8 @@ def _diagonal_idempotents(alg: AlgebraPresentation, p: Element, unity: Element) 
 
 def _idempotent_through(corner: AlgebraPresentation, y: Element, unity: Element) -> Element:
     """f = yz for a solution z of yzy = y: an idempotent with 0 != f != unity."""
-    left, s = corner.operator(y.coords, "left")
-    right, _ = corner.operator(y.coords, "right")
-    # column k of R_y L_y is s^2 y e_k y
-    columns = [apply_rows(right, col) for col in zip(*left)]
-    z = solve(RatMatrix._of_rows(list(zip(*columns)), corner.dim), [s * s * c for c in y.coords])
+    columns, scale = _corner_products(corner, y, y)  # y e_k y, times scale
+    z = solve(RatMatrix._of_rows(list(zip(*columns)), corner.dim), [scale * c for c in y.coords])
     if z is None:
         raise InternalInvariantError("yzy = y has no solution in a corner of a semisimple algebra")
     f = y * corner.element(z)
@@ -599,9 +595,7 @@ def semisimple_decompose(
         degree = len(prims_sub)
         if degree * degree * division_dim != sub.dim:
             raise InternalInvariantError("factor dimensions fail degree^2 * division_dim")
-        corner11 = Subspace(sub.dim, _corner_products(sub, prims_sub[0], prims_sub[0])[0])
-        corner_alg, _, _ = sub.subalgebra(corner11, name=f"{alg.name}|D")
-        division_type = frobenius_type(corner_alg)
+        division_type = _division_type(certificate)
         label = _space_label(alg, ideal_space)
         prims = [alg.element(embed(p.coords)) for p in prims_sub]
         factors.append(
@@ -674,44 +668,33 @@ def _corner_products(alg: AlgebraPresentation, e: Element, f: Element) -> Tuple[
 
 
 def frobenius_type(division: AlgebraPresentation) -> str:
-    """REAL / COMPLEX / QUATERNION recognition for a division corner.
-
-    dim 1 is the base field.  dim 2 is an imaginary quadratic line when the
-    non-identity generator t with t^2 = alpha + beta t has negative
-    discriminant beta^2 + 4 alpha.  dim 4 is quaternion when the trace-zero
-    subspace carries an anticommuting pair with negative squares.  Anything
-    else (or a corner that only splits over the real closure) is
-    UNRECOGNIZED.
-    """
+    """REAL / COMPLEX / QUATERNION recognition for a division corner: REAL in
+    dim 1, in dims 2 and 4 the type of the corner splitter's certificate,
+    and UNRECOGNIZED in other dims or when the corner splits."""
     unity = find_unity(division)
     if unity is None:
         raise NotUnital("frobenius_type requires a unital corner")
-    d = division.dim
-    if d == 1:
+    if division.dim == 1:
         return REAL
-    if d == 2:
-        uspan = Subspace(2, [unity.coords])
-        t_rows = uspan.complement_in(Subspace.full(2)).basis_rows()
-        t = division.element(t_rows[0])
-        sq = t * t
-        mat = RatMatrix.from_rows([[unity.coords[c], t.coords[c]] for c in range(2)])
-        sol = solve(mat, sq.coords)
-        if sol is None:
-            raise InternalInvariantError("2-dim corner power not in its own span")
-        alpha, beta = sol
-        return COMPLEX if beta * beta + 4 * alpha < 0 else UNRECOGNIZED
-    if d == 4:
-        form = _norm_form(division, unity)
-        if form is None:
-            return UNRECOGNIZED
-        vectors, diag = form
-        negatives = [idx for idx, q in enumerate(diag) if q < 0]
-        if len(negatives) < 2:
-            return UNRECOGNIZED
-        i_el, j_el = division.element(vectors[negatives[0]]), division.element(vectors[negatives[1]])
-        if (i_el * j_el + j_el * i_el).is_zero() and not i_el.is_zero() and not j_el.is_zero():
-            return QUATERNION
+    if division.dim not in (2, 4):
         return UNRECOGNIZED
+    found = _certify_or_split(division, unity)
+    return _division_type(found) if isinstance(found, DivisionCertificate) else UNRECOGNIZED
+
+
+def _division_type(certificate: DivisionCertificate) -> str:
+    """D (x) R for the division algebra D that ``certificate`` certifies: R for
+    a line; C for a quadratic field Q[x] whose mu_x = t^2 + c_1 t + c_0 has
+    discriminant c_1^2 - 4 c_0 < 0; Hamilton's H for a quaternion algebra
+    whose trace-zero norm form is negative definite (all three squares
+    negative).  Anything else is UNRECOGNIZED."""
+    if certificate.kind == LINE:
+        return REAL
+    if certificate.kind == FIELD and certificate.dim == 2:
+        c0, c1, _ = certificate.coefficients
+        return COMPLEX if c1 * c1 - 4 * c0 < 0 else UNRECOGNIZED
+    if certificate.kind == NORM_FORM and all(q < 0 for q in certificate.coefficients):
+        return QUATERNION
     return UNRECOGNIZED
 
 
@@ -744,23 +727,9 @@ def _norm_form(division: AlgebraPresentation, unity: Element):
 
 def _scalar_multiple_of(v, u) -> Optional[Fraction]:
     """c with v = c*u, or None."""
-    c = None
-    for a, b in zip(v, u):
-        if b == 0:
-            if a != 0:
-                return None
-        else:
-            ratio = a / b
-            if c is None:
-                c = ratio
-            elif c != ratio:
-                return None
-    if c is None:
-        c = ZERO
-    for a, b in zip(v, u):
-        if a != c * b:
-            return None
-    return c
+    k = next((k for k, b in enumerate(u) if b != 0), None)
+    c = ZERO if k is None else v[k] / u[k]
+    return c if all(a == c * b for a, b in zip(v, u)) else None
 
 
 def _diagonalize_symmetric(gram):
@@ -972,11 +941,11 @@ def classify(alg: AlgebraPresentation) -> ClassificationReport:
     for label, block in blocks:
         block_space = alg.block_subspace(block)
         sub, embed, _ = alg.subalgebra(block_space, name=f"{alg.name}|{label}")
-        cert = is_nilpotent(sub)
         radical = jacobson_radical(sub, _verify=False).subspace
         simple_factors = [sf.mapped(alg, embed) for sf in complement_factors(sub, radical)]
         ideal = IdealSpace(alg, block_space, "two-sided")
-        factors.append(FactorReport(label, ideal, bool(cert), simple_factors, radical.dim))
+        # over Q an algebra is nilpotent exactly when it is its own radical
+        factors.append(FactorReport(label, ideal, radical.dim == sub.dim, simple_factors, radical.dim))
     unity = find_unity(alg)
     unital = unity is not None
     unity_subring_dim = generated_subring([unity]).dim if unital else 0
@@ -1017,20 +986,23 @@ def dorroh_unitization(
     return _adjoin_lines(alg, [(range(alg.dim), label, "u")])
 
 
-def minimal_unitization(alg: AlgebraPresentation) -> Tuple[AlgebraPresentation, List[int]]:
-    """Smallest unital algebra containing the input as a two-sided ideal.
+def minimal_unitization(alg: AlgebraPresentation) -> Tuple[AlgebraPresentation, List[int], Optional[Element]]:
+    """Smallest unital algebra containing the input as a two-sided ideal,
+    the positions of the input's basis elements in it, and its unity.
 
-    Unital inputs come back unchanged.  Otherwise every label block without
-    a unity of its own (each null block of R_0, and each factor whose
-    subalgebra has none) receives a Dorroh line placed before it, acting as
-    that block's unity.  The dimension increase is at most dim R_0 + s.
-    Products never leave a block, so the new lines and the unities of the
-    other blocks sum to the unity of the result, which is checked.
+    Unital inputs come back unchanged (the zero algebra, too, with unity
+    None).  Otherwise every label block without a unity of its own (each
+    null block of R_0, and each factor whose subalgebra has none) receives a
+    Dorroh line placed before it, acting as that block's unity.  The
+    dimension increase is at most dim R_0 + s.  Products never leave a
+    block, so the new lines and the unities of the other blocks sum to the
+    unity of the result, which is checked.
     """
     blocks = alg.label_blocks()
     unities = block_unities(alg)
     if None not in unities:
-        return alg, list(range(alg.dim))
+        unity = alg.element([c for part in unities for c in part]) if unities else None
+        return alg, list(range(alg.dim)), unity
     out, embedding = _adjoin_lines(
         alg, [(block, label, f"u_{label}") for (label, block), u in zip(blocks, unities) if u is None]
     )
@@ -1042,7 +1014,7 @@ def minimal_unitization(alg: AlgebraPresentation) -> Tuple[AlgebraPresentation, 
     identity = [[scale if j == k else 0 for j in range(out.dim)] for k in range(out.dim)]
     if left != identity or out.operator(coords, "right")[0] != identity:
         raise InternalInvariantError("minimal unitization failed to produce a unity")
-    return out, embedding
+    return out, embedding, out.element(coords)
 
 
 def _adjoin_lines(

@@ -345,7 +345,7 @@ def document_of(obj, name: Optional[str] = None) -> AlgebraDocument:
         return algebra_document(
             name or obj.name,
             obj.dim,
-            {pair: _dense(obj, pair) for pair in obj.sparse_table()},
+            {pair: obj.basis_product(*pair) for pair in obj.sparse_table()},
             labels=obj.field_labels,
             basis_names=obj.basis_names,
         )
@@ -360,10 +360,6 @@ def document_of(obj, name: Optional[str] = None) -> AlgebraDocument:
             dict(obj.cross),
         )
     raise DocumentError(f"cannot serialize object of type {type(obj).__name__}")
-
-
-def _dense(alg: AlgebraPresentation, pair) -> tuple:
-    return alg.basis_product(*pair)
 
 
 def load_path(path) -> AlgebraDocument:

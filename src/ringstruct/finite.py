@@ -117,14 +117,6 @@ class FiniteRing:
         hits = np.flatnonzero(two_sided)
         return int(hits[0]) if hits.size else None
 
-    def additive_order(self, x: int) -> int:
-        acc = x
-        k = 1
-        while acc != self.zero:
-            acc = int(self.add[acc, x])
-            k += 1
-        return k
-
     def __repr__(self):
         return f"FiniteRing({self.name!r}, order={self.order})"
 

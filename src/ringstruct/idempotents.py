@@ -30,7 +30,7 @@ from .errors import (
     NotMinimal,
 )
 from .linalg import RatMatrix, Subspace, apply_rows, combine, is_zero_vec, solve
-from .radical import complement_algebra, is_nilpotent, jacobson_radical
+from .radical import complement_algebra, jacobson_radical
 
 
 class NullSquare:
@@ -66,12 +66,14 @@ def lift_idempotent(x: Element, max_rounds: Optional[int] = None) -> Element:
 def find_idempotent(alg: AlgebraPresentation) -> Optional[Element]:
     """A nonzero idempotent when the algebra is not nilpotent, else None.
 
-    The Wedderburn complement of a non-nilpotent algebra is a nonzero
-    semisimple algebra, and its unity is the idempotent returned.
+    Over Q an algebra is nilpotent exactly when it is its own radical J.
+    Otherwise the Wedderburn complement of J is a nonzero semisimple
+    algebra, and its unity is the idempotent returned.
     """
-    if is_nilpotent(alg):
+    radical = jacobson_radical(alg, _verify=False).subspace
+    if radical.dim == alg.dim:
         return None
-    sub, embed = complement_algebra(alg, jacobson_radical(alg, _verify=False).subspace)
+    sub, embed = complement_algebra(alg, radical)
     unity = find_unity(sub)
     if unity is None:
         raise InternalInvariantError("Wedderburn complement of a non-nilpotent algebra has no unity")

@@ -430,7 +430,3 @@ class Subspace:
 def kernel(a: RatMatrix) -> Subspace:
     """Canonical null-space subspace of ``a``."""
     return Subspace(a.cols, kernel_basis(a))
-
-
-def span(ambient_dim: int, vectors: Iterable[Sequence]) -> Subspace:
-    return Subspace(ambient_dim, vectors)

@@ -64,9 +64,7 @@ class NilpotencyCertificate:
 def is_nilpotent(alg: AlgebraPresentation) -> NilpotencyCertificate:
     """True iff the span of (n+1)-fold products vanishes, n = dim."""
     n = alg.dim
-    if n == 0:
-        return NilpotencyCertificate(True, 1, None)
-    chain = _power_chain(alg, n + 1)
+    chain = _power_chain(alg, Subspace.full(n), n + 1)
     for k, space in enumerate(chain, start=1):
         if space.is_zero():
             return NilpotencyCertificate(True, k, None)
@@ -192,23 +190,13 @@ def jacobson_radical(alg: AlgebraPresentation, _verify: bool = True) -> IdealSpa
 
 
 def _verify_radical(alg: AlgebraPresentation, radical: IdealSpace):
-    if not _subspace_nilpotent(alg, radical.subspace):
+    if not _power_chain(alg, radical.subspace, radical.dim + 1)[-1].is_zero():
         raise InternalInvariantError("computed radical is not nilpotent")
     if 0 < radical.dim < alg.dim:  # A/0 is A, whose radical was just computed
         quotient, _ = quotient_algebra(alg, radical)
         again = jacobson_radical(quotient, _verify=False)
         if again.dim != 0:
             raise InternalInvariantError("quotient by the radical is not semiprime")
-
-
-def _subspace_nilpotent(alg: AlgebraPresentation, space: Subspace) -> bool:
-    """Does the multiplication-closed subspace power down to zero?"""
-    current = space
-    for _ in range(space.dim + 1):
-        if current.is_zero():
-            return True
-        current = product_span(alg, space, current)
-    return current.is_zero()
 
 
 # -- quotients -------------------------------------------------------------
@@ -299,9 +287,8 @@ def complement_of(alg: AlgebraPresentation, radical: Subspace) -> IdealSpace:
 
 def complement_algebra(alg: AlgebraPresentation, radical: Subspace):
     """A Wedderburn complement S of the given radical as an algebra, with its
-    embedding into ``alg`` (``alg`` itself when the radical is zero)."""
-    if radical.is_zero():
-        return alg, tuple
+    embedding into ``alg``.  A zero radical has the whole space as its
+    complement, so S is then ``alg`` itself (see ``subalgebra``)."""
     space = _wedderburn_complement(alg, Subspace.full(alg.dim), radical)
     sub, embed, _ = alg.subalgebra(space, name=f"{alg.name}|S")
     return sub, embed

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from .algebra import AlgebraPresentation, find_unity
+from .algebra import AlgebraPresentation
 from .classify import classify, label_split, minimal_unitization, semiprime_check, semisimple_decompose
 from .documents import (
     KIND_ALGEBRA,
@@ -172,8 +172,8 @@ def _algebra_idempotents(alg: AlgebraPresentation) -> dict:
         body["certificates"]["simple_factors"] = [_simple_factor(sf) for sf in factors]
         body["certificates"]["primitive_family"] = [_coords(m.coords) for m in family.members]
         body["certificates"]["family_flags"] = family.flags
-        unity = find_unity(alg)
-        body["certificates"]["unity"] = _coords(unity.coords)
+        # J = 0: the complement whose unity find_idempotent returned is A itself
+        body["certificates"]["unity"] = _coords(e.coords)
     else:
         body["verdict"]["semiprime"] = False
     return body
@@ -181,8 +181,7 @@ def _algebra_idempotents(alg: AlgebraPresentation) -> dict:
 
 def _algebra_unitize(alg: AlgebraPresentation) -> dict:
     factors, null = label_split(alg)
-    out, embedding = minimal_unitization(alg)
-    unity = find_unity(out)
+    out, embedding, unity = minimal_unitization(alg)
     return {
         "dim": alg.dim,
         "verdict": {

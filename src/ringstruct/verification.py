@@ -98,17 +98,21 @@ def _check_split(alg: AlgebraPresentation, factors: List[dict], space: Subspace,
     central idempotents, so their sum S is a semisimple subalgebra.  S meets
     the radical J in a nilpotent ideal of S, which is zero, so dim S is at
     most dim space - dim J; when dim J = ``radical_dim``, equality makes S a
-    complement of J, and then p I p = p A p modulo p J p.
+    complement of J, and then p I p = p A p modulo p J p.  Last, each
+    ``division_type`` must be the one its division corner certifies.
     """
-    for sf in factors:
-        _check_simple_factor(alg, sf, space)
+    types = [_check_simple_factor(alg, sf, space) for sf in factors]
     _check_orthogonal_idempotents([alg.element(_vec(sf["central_idempotent"])) for sf in factors])
     if sum(sf["matrix_degree"] ** 2 * sf["division_dim"] for sf in factors) + radical_dim != space.dim:
         _fail("simple factors and radical do not fill the factor")
+    for sf, certified in zip(factors, types):
+        if sf["division_type"] != certified:
+            _fail(f"division type {sf['division_type']} is not {certified}, the type its corner certifies")
 
 
-def _check_simple_factor(alg: AlgebraPresentation, sf: dict, space: Subspace):
-    """The reported ideal I, inside ``space``, is M_n(D) with the reported primitive family.
+def _check_simple_factor(alg: AlgebraPresentation, sf: dict, space: Subspace) -> str:
+    """The reported ideal I, inside ``space``, is M_n(D) with the reported primitive
+    family; returns the type of D (x) R that the division certificate shows.
 
     I is closed under multiplication with the central idempotent as its
     unity; the n primitive idempotents lie in I, are orthogonal and sum to
@@ -149,22 +153,24 @@ def _check_simple_factor(alg: AlgebraPresentation, sf: dict, space: Subspace):
         there, back = corner(first, p).basis_rows(), corner(p, first).basis_rows()
         if all(is_zero_vec(alg.multiply_coords(a, b)) for a in there for b in back):
             _fail("primitive idempotents of one simple factor are not equivalent")
-    _check_division_corner(alg, first, corner(first, first), sf)
+    return _check_division_corner(alg, first, corner(first, first), sf)
 
 
-def _check_division_corner(alg: AlgebraPresentation, p, corner: Subspace, sf: dict):
-    """The corner p I p is a division algebra for the reported reason.
+def _check_division_corner(alg: AlgebraPresentation, p, corner: Subspace, sf: dict) -> str:
+    """The corner p I p is a division algebra D for the reported reason;
+    returns the type of D (x) R, UNRECOGNIZED unless named below.
 
-    Dimension 1 needs nothing more.  A FIELD certificate is a corner element
-    x with mu(x) = 0 for an irreducible monic mu of degree dim, so Q[x] is a
-    field filling the corner.  A NORM_FORM certificate is three anticommuting
-    corner elements that span the corner with p and square to q_a p, with
-    the form sum q_a x_a^2 anisotropic: definite, or failing Legendre's
-    conditions.
+    Dimension 1 needs nothing more (REAL).  A FIELD certificate is a corner
+    element x with mu(x) = 0 for an irreducible monic mu of degree dim, so
+    Q[x] is a field filling the corner (COMPLEX in dim 2 when mu has no real
+    root).  A NORM_FORM certificate is three anticommuting corner elements
+    that span the corner with p and square to q_a p, with the form
+    sum q_a x_a^2 anisotropic: definite (QUATERNION when negative), or
+    failing Legendre's conditions.
     """
     d = sf["division_dim"]
     if d == 1:
-        return
+        return "REAL"
     cert = sf.get("division_certificate")
     if cert is None:
         _fail(f"division corner of dimension {d} carries no certificate")
@@ -184,7 +190,8 @@ def _check_division_corner(alg: AlgebraPresentation, p, corner: Subspace, sf: di
             _fail("certificate polynomial does not vanish at its element")
         if not _irreducible(coefficients):
             _fail("certificate polynomial is reducible")
-    elif cert["kind"] == "norm_form":
+        return "COMPLEX" if d == 2 and coefficients[1] ** 2 < 4 * coefficients[0] else "UNRECOGNIZED"
+    if cert["kind"] == "norm_form":
         if d != 4 or len(elements) != 3 or len(coefficients) != 3 or 0 in coefficients:
             _fail("norm-form certificate needs three elements with nonzero squares in dimension 4")
         if Subspace(alg.dim, [p.coords] + [v.coords for v in elements]) != corner:
@@ -197,8 +204,8 @@ def _check_division_corner(alg: AlgebraPresentation, p, corner: Subspace, sf: di
                     _fail("norm-form elements do not anticommute")
         if _isotropic(coefficients):
             _fail("norm form has a rational zero, so the corner splits")
-    else:
-        _fail(f"unknown division certificate {cert['kind']!r}")
+        return "QUATERNION" if max(coefficients) < 0 else "UNRECOGNIZED"
+    _fail(f"unknown division certificate {cert['kind']!r}")
 
 
 def _irreducible(coefficients) -> bool:
@@ -356,23 +363,55 @@ def verify_unitize_report(alg: AlgebraPresentation, report: dict):
 
 
 def verify_oracle_report(ring: FiniteRing, report: dict):
-    """Radical subset must be an ideal; against enumeration it must be the
-    largest nilpotent one; idempotents and units must check out."""
-    verdict = report["verdict"]
-    certs = report["certificates"]
+    """Every verdict and list of an oracle report, recomputed from the tables
+    with arrays of at most order x order entries.
+
+    The radical is a nilpotent ideal and equals {x : r x is nilpotent for
+    every r}: such r x are quasi-regular, which puts x in J, and J is
+    nilpotent.  Against enumeration it is also the largest nilpotent ideal.
+    The ring is nilpotent exactly when it is its own radical, and its index
+    is the least k that kills every k-fold product.
+    """
+    import numpy as np  # loaded with the tables already
+
+    verdict, certs = report["verdict"], report["certificates"]
+    n, mul, zero = ring.order, ring.mul, ring.zero
+    idx = np.arange(n)
     j = frozenset(verdict["jacobson"])
-    if not is_ideal(ring, j):
-        _fail("reported radical is not an ideal")
-    if not subset_is_nilpotent(ring, j):
-        _fail("reported radical is not nilpotent")
-    for x in certs["idempotents"]:
-        if int(ring.mul[x, x]) != x:
-            _fail("reported idempotent fails x*x = x")
-    if certs["unity"] is not None:
-        u = certs["unity"]
-        for x in ring.elements():
-            if int(ring.mul[u, x]) != x or int(ring.mul[x, u]) != x:
-                _fail("reported unity fails")
+    if not is_ideal(ring, j) or not subset_is_nilpotent(ring, j):
+        _fail("reported radical is not a nilpotent ideal")
+    power = idx  # x^(n+1) = 0 for a nilpotent x: its nonzero powers are distinct
+    for _ in range(n):
+        power = mul[power, idx]
+    nilpotent = power == zero
+    radical = np.flatnonzero(nilpotent[mul].all(axis=0)).tolist()  # column x holds the r x
+    unities = [int(u) for u in np.flatnonzero((mul == idx).all(axis=1)) if (mul[:, u] == idx).all()]
+    # in a finite ring x y = 1 gives y x = 1; a zero divisor kills some y != 0 on a side
+    kills = (np.count_nonzero(mul == zero, axis=1) > 1) | (np.count_nonzero(mul == zero, axis=0) > 1)
+    kills[zero] = False
+    expected = {
+        "jacobson": radical,
+        "idempotents": np.flatnonzero(mul[idx, idx] == idx).tolist(),
+        "unity": unities[0] if unities else None,
+        "unital": bool(unities),
+        "units": np.flatnonzero((mul == unities[0]).any(axis=1)).tolist() if unities else [],
+        "zero_divisors": np.flatnonzero(kills).tolist(),
+        "nil": bool(nilpotent.all()),
+        "reduced": np.count_nonzero(nilpotent) == 1,
+        "nilpotent": len(radical) == n,
+    }
+    for key, value in expected.items():
+        if {**certs, **verdict}[key] != value:
+            _fail(f"oracle {key} disagrees with the tables")
+    if verdict["nilpotent"] != ("nilpotency_index" in verdict):
+        _fail("a nilpotency index belongs to exactly the nilpotent rings")
+    products = idx  # the k-fold products, as the (k-1)-fold ones times r
+    for _ in range(verdict.get("nilpotency_index", 1) - 1):
+        if np.array_equal(products, [zero]):
+            _fail("nilpotency index is not the least k with zero k-fold products")
+        products = np.unique(mul[products])
+    if verdict["nilpotent"] and not np.array_equal(products, [zero]):
+        _fail("k-fold products do not vanish at the nilpotency index")
     if "largest_nilpotent_ideal" in certs:
         if sorted(j) != certs["largest_nilpotent_ideal"]:
             _fail("definitional radical disagrees with the enumerated nilpotent ideal")

@@ -676,3 +676,44 @@ def reference_central_idempotents(alg):
             c = [x + F(int(a.p), int(a.q)) * y for x, y in zip(c, p)]
         out.add(tuple(c))
     return out
+
+
+# Hilbert symbols: whether the quaternion algebra (a, b) over Q splits, by
+# the classical local formulas (Serre, *A Course in Arithmetic*, ch. III).
+
+
+def _split_prime(x: int, p: int) -> Tuple[int, int]:
+    """(k, u) with x = p^k u and p not dividing u."""
+    k = 0
+    while x % p == 0:
+        x //= p
+        k += 1
+    return k, x
+
+
+def hilbert_symbol(a: int, b: int, p: int) -> int:
+    """(a, b)_p for nonzero integers a, b: p a prime, or p = 0 for the real place."""
+    if p == 0:
+        return -1 if a < 0 and b < 0 else 1
+    alpha, u = _split_prime(a, p)
+    beta, v = _split_prime(b, p)
+    if p == 2:
+        def eps(x):
+            return (x - 1) // 2 % 2
+
+        def omega(x):
+            return (x * x - 1) // 8 % 2
+
+        return (-1) ** (eps(u) * eps(v) + alpha * omega(v) + beta * omega(u))
+
+    def legendre(x):  # Euler's criterion
+        return 1 if pow(x % p, (p - 1) // 2, p) == 1 else -1
+
+    return (-1) ** (alpha * beta * ((p - 1) // 2)) * legendre(u) ** beta * legendre(v) ** alpha
+
+
+def quaternion_splits(a: int, b: int) -> bool:
+    """(a, b) is M_2(Q) exactly when every Hilbert symbol (a, b)_p is 1; only
+    the real place and the primes dividing 2ab can give -1."""
+    places = {0, 2} | {p for p in range(3, abs(a * b) + 1) if a * b % p == 0 and all(p % q for q in range(2, p))}
+    return all(hilbert_symbol(a, b, p) == 1 for p in places)

@@ -267,7 +267,7 @@ def test_acceptance_08_unitization_bound():
         corpus = build_corpus()
         for alg in corpus:
             rep = classify(alg)
-            out, embedding = minimal_unitization(alg)
+            out, embedding, _ = minimal_unitization(alg)
             increment = out.dim - alg.dim
             assert increment <= rep.r0_dim + rep.s, alg.name
             assert find_unity(out) is not None
@@ -291,18 +291,18 @@ def test_acceptance_08_unitization_bound():
         for doc in (null_ring(1),):
             alg = to_object(doc)
             rep = classify(alg)
-            out, _ = minimal_unitization(alg)
+            out, _, _ = minimal_unitization(alg)
             assert out.dim - alg.dim == rep.r0_dim + rep.s
         two_label_null = to_object(
             direct_sum([null_ring(1, "K1"), relabel(null_ring(1), "K2")])
         )
         rep = classify(two_label_null)
-        out, _ = minimal_unitization(two_label_null)
+        out, _, _ = minimal_unitization(two_label_null)
         assert out.dim - two_label_null.dim == rep.r0_dim + rep.s == 2
         for n in range(2, 6):
             alg = to_object(strictly_upper(n))
             rep = classify(alg)
-            out, _ = minimal_unitization(alg)
+            out, _, _ = minimal_unitization(alg)
             assert out.dim - alg.dim == rep.r0_dim + rep.s == 1
 
 

@@ -27,7 +27,7 @@ from ringstruct.classify import (
     semisimple_decompose,
 )
 from ringstruct.classify import _conic_zero
-from ringstruct.documents import to_object
+from ringstruct.documents import algebra_document, to_object
 from ringstruct.errors import NotSemiprime, ValidationError
 from ringstruct.generators import (
     annihilator_gap,
@@ -52,6 +52,7 @@ from ringstruct.verification import verify_classify_report, verify_idempotents_r
 
 from oracles import (
     operator_algebras,
+    quaternion_splits,
     rebase_document,
     reference_central_idempotents,
     reference_r0_space,
@@ -189,6 +190,44 @@ def test_frobenius_examples():
     assert frobenius_type(to_object(base_field())) == REAL
     assert frobenius_type(to_object(quadratic_line())) == COMPLEX
     assert frobenius_type(to_object(quaternion())) == QUATERNION
+
+
+def _factor_shapes(doc):
+    """(degree, division dim, type) of each simple factor, in the standard basis
+    and in a seeded rebased one, both checked by the verifier."""
+    shapes = []
+    for d in (doc, rebase_document(doc, random.Random(doc.name))):
+        report = run_report(d, "classify")
+        verify_classify_report(to_object(d), report)
+        shapes.append([
+            (sf["matrix_degree"], sf["division_dim"], sf["division_type"])
+            for f in report["certificates"]["factors"]
+            for sf in f["simple_factors"]
+        ])
+    return shapes
+
+
+def test_quaternion_types_follow_the_hilbert_symbols():
+    # (a, b) (x) R is Hamilton's quaternions exactly when a, b < 0; a split
+    # (a, b) is M_2(Q), whose corner is the base field
+    values = [v for v in range(-6, 7) if v]
+    for a, b in itertools.product(values, repeat=2):
+        if quaternion_splits(a, b):
+            expected = (2, 1, REAL)
+        else:
+            expected = (1, 4, QUATERNION if a < 0 and b < 0 else UNRECOGNIZED)
+        assert _factor_shapes(quaternion(a, b)) == [[expected]] * 2, (a, b)
+
+
+def test_quadratic_field_types_follow_the_sign():
+    # Q(sqrt d) (x) R is C exactly when d < 0
+    for d in range(-30, 31):
+        if d in (0, 1) or any(d % (p * p) == 0 for p in range(2, 6)):
+            continue
+        constants = {(0, 0): [1, 0], (0, 1): [0, 1], (1, 0): [0, 1], (1, 1): [d, 0]}
+        doc = algebra_document(f"Q(sqrt{d})", 2, constants)
+        expected = (1, 2, COMPLEX if d < 0 else UNRECOGNIZED)
+        assert _factor_shapes(doc) == [[expected]] * 2, d
 
 
 def test_frobenius_refuses_split_quadratic():
@@ -482,13 +521,13 @@ def test_dorroh_rejects_multi_label():
 
 
 def test_minimal_unitization_null_line_equality():
-    out, _ = minimal_unitization(to_object(null_ring(1)))
+    out, _, _ = minimal_unitization(to_object(null_ring(1)))
     assert out.dim == 2  # increment 1 = dim R_0 + s = 1 + 0
 
 
 def test_minimal_unitization_strictly_upper():
     t3 = to_object(strictly_upper(3))
-    out, embedding = minimal_unitization(t3)
+    out, embedding, _ = minimal_unitization(t3)
     assert out.dim == 4  # increment 1 <= 0 + 1
     assert find_unity(out) is not None
     image = Subspace(out.dim, [unit_vec(out.dim, p) for p in embedding])
@@ -502,7 +541,7 @@ def test_minimal_unitization_strictly_upper():
 def test_minimal_unitization_adds_one_line_for_the_one_block_without_unity():
     alg = to_object(direct_sum([matrix_algebra(2), relabel(strictly_upper(3), "K2")]))
     assert find_unity(alg) is None
-    out, embedding = minimal_unitization(alg)
+    out, embedding, _ = minimal_unitization(alg)
     assert out.dim == alg.dim + 1 and embedding == [0, 1, 2, 3, 5, 6, 7]
     assert out.field_labels[4] == "K2" and out.basis_names[4] == "u_K2"
     assert find_unity(out).coords == (1, 0, 0, 1, 1, 0, 0, 0)
@@ -510,14 +549,14 @@ def test_minimal_unitization_adds_one_line_for_the_one_block_without_unity():
 
 def test_minimal_unitization_identity_on_unital():
     m2 = to_object(matrix_algebra(2))
-    out, embedding = minimal_unitization(m2)
+    out, embedding, _ = minimal_unitization(m2)
     assert out is m2 and embedding == [0, 1, 2, 3]
 
 
 def test_minimal_unitization_bound_over_corpus(corpus):
     for alg in corpus:
         rep = classify(alg)
-        out, embedding = minimal_unitization(alg)
+        out, embedding, _ = minimal_unitization(alg)
         increment = out.dim - alg.dim
         assert increment <= rep.r0_dim + rep.s
         assert find_unity(out) is not None

@@ -5,14 +5,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringstruct.documents import algebra_document, to_object
+from ringstruct.documents import algebra_document, document_of, to_object
 from ringstruct.errors import InternalInvariantError
+from ringstruct.finite import finite_product, matrix_ring_zp, strictly_upper_zp, zmod
 from ringstruct.generators import generate
 from ringstruct.linalg import parse_rat
 from ringstruct.reports import run_report
 from ringstruct.verification import (
     verify_classify_report,
     verify_idempotents_report,
+    verify_oracle_report,
     verify_radical_report,
     verify_unitize_report,
 )
@@ -219,3 +221,75 @@ def test_unitize_verifier_rejects_a_forged_verdict(entry, value):
     report["verdict"][entry] = value
     with pytest.raises(InternalInvariantError, match=f"unitization verdict {entry} is not"):
         verify_unitize_report(alg, report)
+
+
+@pytest.mark.parametrize("command", ["classify", "idempotents"])
+@pytest.mark.parametrize(
+    "family, params, forged",
+    # H(-1, 3) is a division algebra whose norm form is indefinite
+    [("h", {}, "COMPLEX"), ("c", {}, "REAL"), ("h", {"a": -1, "b": 3}, "QUATERNION")],
+)
+def test_verifiers_reject_a_forged_division_type(command, family, params, forged):
+    doc = generate(family, {k: str(v) for k, v in params.items()})
+    alg = to_object(doc)
+    report = run_report(doc, command)
+    verify = verify_classify_report if command == "classify" else verify_idempotents_report
+    verify(alg, report)
+    certs = report["certificates"]
+    [sf] = certs["factors"][0]["simple_factors"] if command == "classify" else certs["simple_factors"]
+    sf["division_type"] = forged
+    with pytest.raises(InternalInvariantError, match=f"division type {forged} is not"):
+        verify(alg, report)
+
+
+def _oracle(ring):
+    report = run_report(document_of(ring), "oracle")
+    verify_oracle_report(ring, report)
+    return report
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [zmod(1), zmod(12), zmod(256), finite_product(zmod(2), zmod(4)), matrix_ring_zp(2, 2),
+     strictly_upper_zp(3, 2), strictly_upper_zp(2, 3)],
+    ids=lambda ring: ring.name,
+)
+def test_oracle_verifier_accepts_the_oracle_reports(ring):
+    _oracle(ring)
+
+
+@pytest.fixture(scope="module")
+def cyclic_oracles():
+    return {n: (zmod(n), _oracle(zmod(n))) for n in (8, 128)}
+
+
+@pytest.mark.parametrize(
+    "n, part, entry, value",
+    [
+        (n, part, entry, value)
+        for n in (8, 128)
+        for part, entry, value in [
+            ("certificates", "units", []),
+            ("certificates", "zero_divisors", []),
+            ("certificates", "idempotents", [0]),
+            ("certificates", "unity", None),
+            ("verdict", "nilpotent", True),
+        ]
+    ] + [(128, "verdict", "jacobson", [0])],
+)
+def test_oracle_verifier_rejects_an_incomplete_report(cyclic_oracles, n, part, entry, value):
+    ring, report = cyclic_oracles[n]
+    forged = {key: dict(body) if isinstance(body, dict) else body for key, body in report.items()}
+    forged[part][entry] = value
+    with pytest.raises(InternalInvariantError, match="certificate verification failed"):
+        verify_oracle_report(ring, forged)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_oracle_verifier_checks_the_nilpotency_index(shift):
+    ring = strictly_upper_zp(3, 2)  # index 3: E12 E23 != 0 and every triple product vanishes
+    report = _oracle(ring)
+    assert report["verdict"]["nilpotency_index"] == 3
+    report["verdict"]["nilpotency_index"] += shift
+    with pytest.raises(InternalInvariantError, match="nilpotency index|k-fold products"):
+        verify_oracle_report(ring, report)
