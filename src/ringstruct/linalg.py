@@ -174,11 +174,6 @@ class RatMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix.from_rows(
-            [[self.entry(i, j) for i in range(self.rows)] for j in range(self.cols)]
-        )
-
     def mat_vec(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
             raise DimensionMismatch("matrix/vector size mismatch")

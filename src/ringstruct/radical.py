@@ -6,7 +6,16 @@ unitization: ``t(x, y) = trace(L_{x y})``.  The radical is the intersection
 of the algebra with the kernel of that form.  The complement (a subalgebra
 isomorphic to the semisimple quotient, splitting the algebra as J (+) S) is
 built by halving the nilpotency index of the radical and correcting a linear
-section with an exact cocycle solve at each stage.
+section with an exact cocycle solve at each stage (Ivanyos and Ronyai,
+*Computations in associative and Lie algebras*, 1999).
+
+Each stage is one reduction and one solve.  The coordinates of all products
+sigma_i sigma_j over [sigma; N] come from one rref of the columns
+[sigma, N | products].  The correction system keeps, of its n ambient
+coordinate rows, only those at the pivots of P = R(N), with R the reduction
+modulo N^2: every column and the right-hand side lie in P, so each other row
+is a combination of the kept ones.  The augmented row space, its unique rref
+and hence the solution are the same as with all n rows.
 """
 
 from __future__ import annotations
@@ -34,7 +43,6 @@ from .linalg import (
     is_zero_vec,
     kernel,
     solve,
-    zero_vec,
 )
 
 
@@ -302,106 +310,65 @@ def _wedderburn_complement(alg: AlgebraPresentation, V: Subspace, N: Subspace) -
         N2 = product_span(alg, N, N)
         sigma = N.complement_in(V).basis_rows()
         nbasis = N.basis_rows()
-        d_b, d_n = len(sigma), len(nbasis)
-        joint = Subspace(n, sigma + nbasis)
-        # decompose sigma products: sigma_i sigma_j = sum_k c[k] sigma_k + g_ij
-        struct = {}
-        defect = {}
-        any_defect = False
-        for i in range(d_b):
-            for j in range(d_b):
-                prod = alg.multiply_coords(sigma[i], sigma[j])
-                if not joint.contains(prod):
-                    raise InternalInvariantError("subalgebra not closed in complement step")
-                coeffs = _coords_over(sigma + nbasis, prod, n)
-                struct[(i, j)] = coeffs[:d_b]
-                g = coeffs[d_b:]
-                defect[(i, j)] = g
-                if any(x != 0 for x in g):
-                    any_defect = True
-        if not any_defect:
+        d_b, d = len(sigma), len(sigma) + len(nbasis)
+        products = [alg.multiply_coords(s, t) for s in sigma for t in sigma]
+        # one reduction of the columns [sigma, nbasis | sigma_i sigma_j]: when
+        # every product lies in their span, the rref is [I | X] with X the
+        # coordinates, sigma_i sigma_j = sum_k c[k] sigma_k + sum_m g[m] n_m
+        stack = Subspace(d + len(products), zip(*sigma, *nbasis, *products))
+        if stack.pivots() != list(range(d)):
+            raise InternalInvariantError("subalgebra not closed in complement step")
+        coords = list(zip(*(row[d:] for row in stack.basis_rows())))
+        if not any(x for c in coords for x in c[d_b:]):
             return Subspace(n, sigma)  # sigma already multiplicative; N was its own defect space
-        tau_rows = _solve_correction(alg, sigma, nbasis, struct, defect, N2)
+        tau_rows = _solve_correction(alg, sigma, nbasis, coords, N2)
         corrected = [tuple(s[c] + t[c] for c in range(n)) for s, t in zip(sigma, tau_rows)]
         V = Subspace(n, corrected + N2.basis_rows())
         N = N2
     return V
 
 
-def _coords_over(rows: List[tuple], target, n: int) -> tuple:
-    """Coordinates of target over the (independent) row list, exact solve."""
-    mat = RatMatrix.from_rows([[rows[i][c] for i in range(len(rows))] for c in range(n)])
-    sol = solve(mat, target)
-    if sol is None:
-        raise InternalInvariantError("vector not in span during complement construction")
-    return sol
-
-
-def _solve_correction(alg, sigma, nbasis, struct, defect, N2: Subspace):
+def _solve_correction(alg, sigma, nbasis, coords, N2: Subspace):
     """Solve tau(b_i b_j) - sigma_i tau(b_j) - tau(b_i) sigma_j = g_ij  (mod N2).
 
-    With sigma_i sigma_j = sum_k c_k sigma_k + g_ij, this is the condition
-    (sigma_i + tau_i)(sigma_j + tau_j) = sum_k c_k (sigma_k + tau_k) mod N2,
-    since tau_i tau_j lies in N2.
+    With sigma_i sigma_j = sum_k c_k sigma_k + g_ij (``coords[i d_b + j]`` is
+    (c, g)), this is the condition (sigma_i + tau_i)(sigma_j + tau_j) =
+    sum_k c_k (sigma_k + tau_k) mod N2, since tau_i tau_j lies in N2.  The
+    unknowns are tau_k = sum_m x[k d_n + m] n_m.
+
+    Reduction R modulo N2 is linear, so the column of x[k d_n + m] in
+    equation (i, j) is c_k R(n_m) - [k = j] R(sigma_i n_m) - [k = i] R(n_m sigma_j),
+    and the right-hand side is sum_m g_m R(n_m).  All of these lie in
+    P = R(N), because N is an ideal of the current subalgebra.  A vector of P
+    is the combination of P's canonical basis given by its entries at P's
+    pivots, so every other coordinate row of an equation is that same
+    combination of the rows at the pivots.  Keeping only those rows leaves
+    the augmented row space, hence its unique rref and the solution
+    ``solve`` returns, as they were with all n coordinate rows.
     """
     n = alg.dim
     d_b, d_n = len(sigma), len(nbasis)
-    # precompute sigma_i * n_m and n_m * sigma_j
-    left = [[alg.multiply_coords(sigma[i], nbasis[m]) for m in range(d_n)] for i in range(d_b)]
-    right = [[alg.multiply_coords(nbasis[m], sigma[j]) for m in range(d_n)] for j in range(d_b)]
+    reduced_n = [N2.reduce(v) for v in nbasis]
+    kept = Subspace(n, reduced_n).pivots()
+
+    def at_kept(v):
+        return [v[t] for t in kept]
+
+    rn = [at_kept(v) for v in reduced_n]
+    left = [[at_kept(N2.reduce(alg.multiply_coords(s, v))) for v in nbasis] for s in sigma]
+    right = [[at_kept(N2.reduce(alg.multiply_coords(v, s))) for v in nbasis] for s in sigma]
     rows, rhs = [], []
-    unknowns = d_b * d_n  # tau[k][m]
-
-    def unk(k, m):
-        return k * d_n + m
-
     for i in range(d_b):
         for j in range(d_b):
-            # ambient-coordinate equations, reduced modulo N2
-            coeff_rows = [[ZERO] * unknowns for _ in range(n)]
-            for k in range(d_b):
-                c = struct[(i, j)][k]
-                if c == 0:
-                    continue
+            c, g = coords[i * d_b + j][:d_b], coords[i * d_b + j][d_b:]
+            for q in range(len(kept)):
+                row = [c[k] * rn[m][q] for k in range(d_b) for m in range(d_n)]
                 for m in range(d_n):
-                    for t in range(n):
-                        if nbasis[m][t] != 0:
-                            coeff_rows[t][unk(k, m)] += c * nbasis[m][t]
-            for m in range(d_n):
-                lv = left[i][m]
-                for t in range(n):
-                    if lv[t] != 0:
-                        coeff_rows[t][unk(j, m)] -= lv[t]
-                rv = right[j][m]
-                for t in range(n):
-                    if rv[t] != 0:
-                        coeff_rows[t][unk(i, m)] -= rv[t]
-            target = combine(defect[(i, j)], nbasis, n)
-            # reduce both sides modulo N2 coordinates
-            for t_row, t_val in zip(_reduce_rows_mod(coeff_rows, N2), N2.reduce(target)):
-                if any(x != 0 for x in t_row) or t_val != 0:
-                    rows.append(t_row)
-                    rhs.append(t_val)
-    if not rows:
-        tau = [zero_vec(n)] * d_b
-        return tau
-    sol = solve(RatMatrix.from_rows(rows), rhs)
+                    row[j * d_n + m] -= left[i][m][q]
+                    row[i * d_n + m] -= right[j][m][q]
+                rows.append(row)
+                rhs.append(sum(gm * r[q] for gm, r in zip(g, rn) if gm))
+    sol = solve(RatMatrix._of_rows(rows, d_b * d_n), rhs)
     if sol is None:
         raise InternalInvariantError("complement correction system is inconsistent")
     return [combine(sol[k * d_n : (k + 1) * d_n], nbasis, n) for k in range(d_b)]
-
-
-def _reduce_rows_mod(coeff_rows, space: Subspace):
-    """Reduce each ambient coordinate row of a linear system modulo a subspace.
-
-    coeff_rows has one row per ambient coordinate; reducing the *column
-    space* modulo the subspace means applying the subspace reduction to each
-    unknown's coefficient column.  Equivalent: reduce the stacked columns.
-    """
-    n = len(coeff_rows)
-    unknowns = len(coeff_rows[0]) if coeff_rows else 0
-    reduced_cols = []
-    for u in range(unknowns):
-        col = tuple(coeff_rows[t][u] for t in range(n))
-        reduced_cols.append(space.reduce(col))
-    return [[reduced_cols[u][t] for u in range(unknowns)] for t in range(n)]

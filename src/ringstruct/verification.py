@@ -5,16 +5,18 @@ element multiplication, subspace membership, and set arithmetic on the
 certificates quoted in a report, plus two number-theoretic tests for
 division corners (irreducibility of a polynomial over Q, and Legendre's
 conditions for a ternary form), so a report that passes was right for
-checkable reasons.
+checkable reasons.  A report with a missing or misshapen entry fails
+verification as a false one does.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import List
 
 from .algebra import AlgebraPresentation
-from .errors import InternalInvariantError
+from .errors import DimensionMismatch, DocumentError, InternalInvariantError
 from .finite import FiniteRing, subset_is_nilpotent, is_ideal
 from .linalg import Subspace, is_zero_vec, parse_rat, unit_vec
 
@@ -31,6 +33,25 @@ def _fail(message: str):
     raise InternalInvariantError(f"certificate verification failed: {message}")
 
 
+# what reading a report with a missing, mistyped or misshapen entry raises
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, DocumentError, DimensionMismatch)
+
+
+def _reads_report(verify):
+    """``verify``, failing verification on a report with a missing or
+    misshapen entry instead of raising the lookup's own error."""
+
+    @functools.wraps(verify)
+    def checked(subject, report: dict):
+        try:
+            verify(subject, report)
+        except _MALFORMED as exc:
+            _fail(f"malformed report ({type(exc).__name__}: {exc})")
+
+    return checked
+
+
+@_reads_report
 def verify_classify_report(alg: AlgebraPresentation, report: dict):
     """Re-check a classification report from its certificates alone."""
     certs = report["certificates"]
@@ -244,6 +265,7 @@ def _check_orthogonal_idempotents(elements):
                 _fail("family members are not orthogonal")
 
 
+@_reads_report
 def verify_radical_report(alg: AlgebraPresentation, report: dict):
     """Radical basis must be a two-sided, nilpotent ideal; complement must split."""
     certs = report["certificates"]
@@ -283,6 +305,7 @@ def verify_radical_report(alg: AlgebraPresentation, report: dict):
                 _fail("complement is not multiplication-closed")
 
 
+@_reads_report
 def verify_idempotents_report(alg: AlgebraPresentation, report: dict):
     certs = report["certificates"]
     if report["verdict"]["found"]:
@@ -304,6 +327,7 @@ def verify_idempotents_report(alg: AlgebraPresentation, report: dict):
             _fail("primitive family does not sum to the unity")
 
 
+@_reads_report
 def verify_unitize_report(alg: AlgebraPresentation, report: dict):
     """The unitized document must be unital and contain the image as a two-sided ideal.
 
@@ -362,6 +386,7 @@ def verify_unitize_report(alg: AlgebraPresentation, report: dict):
                 _fail("embedded image is not a two-sided ideal")
 
 
+@_reads_report
 def verify_oracle_report(ring: FiniteRing, report: dict):
     """Every verdict and list of an oracle report, recomputed from the tables
     with arrays of at most order x order entries.

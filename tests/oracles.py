@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from hypothesis import strategies as st
 
-from ringstruct.algebra import AlgebraPresentation
+from ringstruct.algebra import AlgebraPresentation, product_span
 from ringstruct.documents import AlgebraDocument, algebra_document, to_object
 from ringstruct.generators import (
     annihilator_gap,
@@ -531,6 +531,74 @@ def reference_jacobson_space(alg):
         [trace_of(alg.basis_product(a, j)) for j in range(n)] for a in range(n)
     ]
     return kernel(RatMatrix.from_rows(gram))
+
+
+# The Wedderburn round before it became one reduction and one solve: one exact
+# solve per product for its coordinates over [sigma; N], and the correction
+# system written in every ambient coordinate, reduced modulo N^2 column by
+# column.
+
+
+def reference_wedderburn_complement(alg, V, N):
+    """The complement of ``N`` in ``V`` that ``radical.complement_of`` builds."""
+    n = alg.dim
+    while not N.is_zero():
+        if N.dim == V.dim:
+            return Subspace.zero(n)
+        N2 = product_span(alg, N, N)
+        sigma = N.complement_in(V).basis_rows()
+        nbasis = N.basis_rows()
+        d_b = len(sigma)
+        joint = Subspace(n, sigma + nbasis)
+        columns = RatMatrix.from_rows([[row[c] for row in sigma + nbasis] for c in range(n)])
+        struct, defect = {}, {}
+        for i in range(d_b):
+            for j in range(d_b):
+                prod = alg.multiply_coords(sigma[i], sigma[j])
+                assert joint.contains(prod), "subalgebra not closed in complement step"
+                coeffs = solve(columns, prod)
+                struct[(i, j)], defect[(i, j)] = coeffs[:d_b], coeffs[d_b:]
+        if not any(any(g) for g in defect.values()):
+            return Subspace(n, sigma)
+        tau_rows = _reference_correction(alg, sigma, nbasis, struct, defect, N2)
+        corrected = [tuple(s[c] + t[c] for c in range(n)) for s, t in zip(sigma, tau_rows)]
+        V = Subspace(n, corrected + N2.basis_rows())
+        N = N2
+    return V
+
+
+def _reference_correction(alg, sigma, nbasis, struct, defect, N2):
+    """tau(b_i b_j) - sigma_i tau(b_j) - tau(b_i) sigma_j = g_ij (mod N2), one
+    equation per ambient coordinate."""
+    n = alg.dim
+    d_b, d_n = len(sigma), len(nbasis)
+    left = [[alg.multiply_coords(sigma[i], nbasis[m]) for m in range(d_n)] for i in range(d_b)]
+    right = [[alg.multiply_coords(nbasis[m], sigma[j]) for m in range(d_n)] for j in range(d_b)]
+    rows, rhs = [], []
+    for i in range(d_b):
+        for j in range(d_b):
+            coeff_rows = [[F(0)] * (d_b * d_n) for _ in range(n)]
+            for k in range(d_b):
+                for m in range(d_n):
+                    for t in range(n):
+                        coeff_rows[t][k * d_n + m] += struct[(i, j)][k] * nbasis[m][t]
+            for m in range(d_n):
+                for t in range(n):
+                    coeff_rows[t][j * d_n + m] -= left[i][m][t]
+                    coeff_rows[t][i * d_n + m] -= right[j][m][t]
+            target = [sum((g * v[t] for g, v in zip(defect[(i, j)], nbasis)), F(0)) for t in range(n)]
+            reduced_cols = [N2.reduce([r[u] for r in coeff_rows]) for u in range(d_b * d_n)]
+            for t, t_val in enumerate(N2.reduce(target)):
+                t_row = [col[t] for col in reduced_cols]
+                if any(t_row) or t_val:
+                    rows.append(t_row)
+                    rhs.append(t_val)
+    if not rows:
+        return [(F(0),) * n] * d_b
+    sol = solve(RatMatrix.from_rows(rows), rhs)
+    assert sol is not None, "complement correction system is inconsistent"
+    taus = [sol[k * d_n : (k + 1) * d_n] for k in range(d_b)]
+    return [tuple(sum((x * v[t] for x, v in zip(tau, nbasis)), F(0)) for t in range(n)) for tau in taus]
 
 
 def reference_ideal_violation(alg, space, sidedness):

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ringstruct.algebra import AlgebraPresentation, IdealSpace, algebra_annihilator
 from ringstruct.documents import to_object
-from ringstruct.errors import NotNilpotent, NotTwoSidedIdeal
+from ringstruct.errors import InternalInvariantError, NotNilpotent, NotTwoSidedIdeal
 from ringstruct.generators import (
     annihilator_gap,
     base_field,
@@ -22,6 +24,8 @@ from ringstruct.generators import (
 )
 from ringstruct.linalg import Subspace, is_zero_vec, unit_vec
 from ringstruct.radical import (
+    _wedderburn_complement,
+    complement_of,
     element_nilpotency,
     is_nilpotent,
     jacobson_radical,
@@ -29,10 +33,15 @@ from ringstruct.radical import (
     quotient_algebra,
     radical_complement,
 )
-from ringstruct.reports import run_report
+from ringstruct.reports import render, run_report
 from ringstruct.verification import verify_radical_report, verify_unitize_report
 
-from oracles import operator_algebras, rebase_document, reference_jacobson_space
+from oracles import (
+    operator_algebras,
+    rebase_document,
+    reference_jacobson_space,
+    reference_wedderburn_complement,
+)
 
 
 @pytest.fixture(scope="module")
@@ -352,3 +361,79 @@ def test_radical_complement_in_random_basis(base, seed):
 @given(operator_algebras())
 def test_trace_form_radical_matches_unit_vector_reference(alg):
     assert jacobson_radical(alg).subspace == reference_jacobson_space(alg)
+
+
+# -- the Wedderburn round against the per-coordinate reference -----------------
+
+SUM_PARTS = [
+    upper_triangular(2),
+    upper_triangular(3),
+    strictly_upper(3),
+    matrix_algebra(2),
+    quaternion(),
+    square_cocycle(),
+    annihilator_gap(2),
+]
+
+
+@st.composite
+def complement_inputs(draw):
+    """An operator algebra, a rebased UT_n for n = 2..5, or a rebased sum of
+    two parts under two labels."""
+    kind = draw(st.sampled_from(("operator", "utd", "sum")))
+    if kind == "operator":
+        return draw(operator_algebras())
+    if kind == "utd":
+        doc = upper_triangular(draw(st.integers(2, 5)))
+    else:
+        first, second = draw(st.sampled_from(SUM_PARTS)), draw(st.sampled_from(SUM_PARTS))
+        doc = direct_sum([first, relabel(second, "K2")])
+    return to_object(rebase_document(doc, random.Random(draw(st.integers(0, 2**32)))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(complement_inputs())
+def test_complement_matches_the_per_coordinate_reference(alg):
+    radical = jacobson_radical(alg).subspace
+    expected = reference_wedderburn_complement(alg, Subspace.full(alg.dim), radical)
+    assert complement_of(alg, radical).subspace == expected
+
+
+# Rebased UT5 (dim 15): its radical has nilpotency index 5, so the complement
+# takes three correction rounds (N = J, J^2, J^4).  Hashes of the JSON reports.
+UTD5_REPORT_HASHES = {
+    ("utd5:1", "radical"): "da44e27a617ebf9fe2d7fa183c64044bf5b63c3a5ed16bd7612341cda5d34db0",
+    ("utd5:1", "classify"): "22f94fffc173782769aab3121e87821e0783c44a92fe3aff8f81dc1e38d2da72",
+    ("utd5:2", "radical"): "4b5f91f087a28e7fc76492b2ed9558f5935707a4e388b5d99bd6b51afe5e942d",
+    ("utd5:2", "classify"): "215322fe64849749ae8185d7625c24fc07f10bb1d953eec344aabd41f97e1b6d",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _rebased_utd5(seed):
+    return rebase_document(upper_triangular(5), random.Random(seed))
+
+
+@pytest.mark.parametrize("seed, command", sorted(UTD5_REPORT_HASHES))
+def test_multi_round_complement_reports_are_pinned(seed, command):
+    doc = _rebased_utd5(seed)
+    rendered = render(run_report(doc, command), "json")
+    assert hashlib.sha256(rendered.encode()).hexdigest() == UTD5_REPORT_HASHES[(seed, command)]
+
+
+def test_complement_round_rejects_a_subspace_that_is_not_closed():
+    m2 = to_object(matrix_algebra(2))  # E11, E12, E21, E22
+    V = Subspace(4, [unit_vec(4, 0), unit_vec(4, 1), unit_vec(4, 2)])  # E21 E12 = E22 is outside
+    with pytest.raises(InternalInvariantError, match="subalgebra not closed in complement step"):
+        _wedderburn_complement(m2, V, Subspace(4, [unit_vec(4, 0)]))
+
+
+def test_complement_round_rejects_an_unsplit_extension():
+    # Q[x]/(x^3) over N = (x^2): the quotient Q[x]/(x^2) is not semisimple,
+    # and no section 1 -> 1 + a x^2, x -> x + b x^2 squares x into N^2 = 0
+    cubic = AlgebraPresentation(
+        "Q[x]/x^3", 3, {(0, 0): [1, 0, 0], (0, 1): [0, 1, 0], (1, 0): [0, 1, 0],
+                        (0, 2): [0, 0, 1], (2, 0): [0, 0, 1], (1, 1): [0, 0, 1]},
+    )
+    with pytest.raises(InternalInvariantError, match="complement correction system is inconsistent"):
+        complement_of(cubic, Subspace(3, [unit_vec(3, 2)]))

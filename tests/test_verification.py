@@ -1,5 +1,6 @@
 """Reports of random ``generate`` documents pass their independent verifiers."""
 
+import copy
 import random
 
 import pytest
@@ -293,3 +294,63 @@ def test_oracle_verifier_checks_the_nilpotency_index(shift):
     report["verdict"]["nilpotency_index"] += shift
     with pytest.raises(InternalInvariantError, match="nilpotency index|k-fold products"):
         verify_oracle_report(ring, report)
+
+
+# -- malformed reports ----------------------------------------------------------
+
+
+def _key_paths(value, path=()):
+    """The path of every dict key in a report, at every depth, lists included."""
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield path + (key,)
+            yield from _key_paths(inner, path + (key,))
+    elif isinstance(value, list):
+        for i, inner in enumerate(value):
+            yield from _key_paths(inner, path + (i,))
+
+
+def _without(report, path):
+    """A deep copy of ``report`` with the key at ``path`` deleted."""
+    forged = copy.deepcopy(report)
+    holder = forged
+    for step in path[:-1]:
+        holder = holder[step]
+    del holder[path[-1]]
+    return forged
+
+
+MALFORMED_SUBJECTS = {
+    "M2 classify": (lambda: generate("m", {"n": "2"}), "classify", verify_classify_report),
+    "T3 radical": (lambda: generate("t", {"n": "3"}), "radical", verify_radical_report),
+    "M2 idempotents": (lambda: generate("m", {"n": "2"}), "idempotents", verify_idempotents_report),
+    "T3 unitize": (lambda: generate("t", {"n": "3"}), "unitize", verify_unitize_report),
+    "Z/8 oracle": (lambda: document_of(zmod(8)), "oracle", verify_oracle_report),
+}
+
+
+@pytest.mark.parametrize("subject", sorted(MALFORMED_SUBJECTS))
+def test_verifiers_fail_cleanly_on_a_missing_entry(subject):
+    """Deleting any one key, at any depth, makes the verifier pass or fail
+    verification; a lookup error never escapes it."""
+    make, command, verify = MALFORMED_SUBJECTS[subject]
+    doc = make()
+    obj = to_object(doc)
+    report = run_report(doc, command)
+    verify(obj, report)
+    paths = list(_key_paths(report))
+    assert paths
+    for path in paths:
+        try:
+            verify(obj, _without(report, path))
+        except InternalInvariantError as exc:
+            assert str(exc).startswith("certificate verification failed"), path
+
+
+@pytest.mark.parametrize("entry", [["x", "0", "0"], ["1", "0"]], ids=["not a rational", "short row"])
+def test_radical_verifier_fails_cleanly_on_a_misshapen_row(entry):
+    doc = generate("t", {"n": "3"})
+    report = run_report(doc, "radical")
+    report["certificates"]["radical_basis"][0] = entry
+    with pytest.raises(InternalInvariantError, match="verification failed: malformed report"):
+        verify_radical_report(to_object(doc), report)
