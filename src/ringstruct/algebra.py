@@ -151,9 +151,16 @@ class AlgebraPresentation:
 
     def _check_associativity(self):
         n, table = self.dim, self._int_table
+        # both sides vanish for every k when e_i e_m = 0 for all m, or when
+        # e_i e_j = 0 and e_j e_m = 0 for all m: such an i or (i, j) is skipped
+        acting = {i for i, _ in table}
         for i in range(n):
+            if i not in acting:
+                continue
             for j in range(n):
                 left = table.get((i, j), ())
+                if not left and j not in acting:
+                    continue
                 for k in range(n):
                     lhs: Dict[int, int] = {}
                     for m, c in left:

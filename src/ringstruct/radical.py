@@ -36,7 +36,6 @@ from .errors import (
     NotTwoSidedIdeal,
 )
 from .linalg import (
-    ZERO,
     RatMatrix,
     Subspace,
     combine,
@@ -211,7 +210,7 @@ def _verify_radical(alg: AlgebraPresentation, radical: IdealSpace):
 
 
 class QuotientMap:
-    """Projection onto a quotient presentation with its canonical section."""
+    """Projection onto a quotient presentation."""
 
     __slots__ = ("source", "target", "ideal", "_complement_coords")
 
@@ -224,12 +223,6 @@ class QuotientMap:
     def project(self, coords) -> tuple:
         reduced = self.ideal.reduce(coords)
         return tuple(reduced[c] for c in self._complement_coords)
-
-    def lift(self, qcoords) -> tuple:
-        out = [ZERO] * self.source.dim
-        for value, c in zip(qcoords, self._complement_coords):
-            out[c] = value
-        return tuple(out)
 
 
 def quotient_algebra(

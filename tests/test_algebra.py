@@ -409,6 +409,18 @@ def test_associativity_check_matches_fraction_reference(case):
     _assert_same_verdict(*case)
 
 
+def test_associativity_violation_after_skipped_rows_is_found():
+    # e0 has no products, so its row is skipped.  e1 e1 = 0, yet
+    # e1 (e1 e3) = e1 e3 = e3: the pair (1, 1) is kept because e1 acts,
+    # although e1 is no right factor of any product.
+    n, constants = 4, {(2, 2): [0, 0, 0, 1], (1, 3): [0, 0, 0, F(1, 2)]}
+    raw = AlgebraPresentation("raw", n, constants, _validate=False)
+    assert reference_associativity_violation(raw.sparse_table(), n) == (1, 1, 3)
+    with pytest.raises(AssociativityError) as info:
+        AlgebraPresentation("late", n, constants)
+    assert info.value.triple == (1, 1, 3)
+
+
 @settings(max_examples=150, deadline=None)
 @given(rational_tables(), st.data())
 def test_multiply_coords_matches_fraction_reference(case, data):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ringstruct import finite
-from ringstruct.errors import InvalidParams, ValidationError
+from ringstruct.errors import InternalInvariantError, InvalidParams, ValidationError
 from ringstruct.finite import (
     FiniteRing,
+    additive_generators,
     all_ideals,
     finite_product,
     finite_structure,
@@ -220,6 +221,106 @@ def test_projection_product_fails_one_distributive_law(n, side, data):
     with _slice_rows(data, n), pytest.raises(ValidationError) as info:
         FiniteRing("projection", add, mul, zero=zero)
     assert str(info.value) == expected
+
+
+# -- the generator path against the reference ---------------------------------
+
+# Commutative, with identity 0 and inverses, and + not associative: 1 and 2
+# reach only {0, 1, 2, 3}, so a third generator exceeds floor(log2 6) = 2.
+# (No commutative loop of order 5 or 6 has a greedy generating set that long:
+# a table with identity 0 whose rows are permutations is reached from 0 by
+# two generators, as enumerating all of them shows.)
+LONG_GENERATORS_ADD = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 0, 3, 2, 4, 4],
+    [2, 3, 0, 1, 4, 4],
+    [3, 2, 1, 0, 4, 4],
+    [4, 4, 4, 4, 0, 1],
+    [5, 4, 4, 4, 1, 0],
+]
+# A commutative loop of order 6 that is no group; generated by 1 and 2.
+LOOP_ADD = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 0, 3, 2, 5, 4],
+    [2, 3, 4, 5, 0, 1],
+    [3, 2, 5, 4, 1, 0],
+    [4, 5, 0, 1, 3, 2],
+    [5, 4, 1, 0, 2, 3],
+]
+
+
+@pytest.mark.parametrize("add, gens", [(LONG_GENERATORS_ADD, None), (LOOP_ADD, [1, 2])])
+def test_non_associative_addition_is_named(add, gens):
+    add, mul = np.array(add), np.zeros((6, 6), dtype=np.int64)
+    assert additive_generators(add, 0) == gens
+    assert reference_table_violation(add, mul, 0) == "addition is not associative"
+    with pytest.raises(ValidationError, match="^addition is not associative$"):
+        FiniteRing("loop", add, mul, zero=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 30), st.integers(0, 2**32 - 1), st.data())
+def test_associativity_on_the_generators_alone_is_not_trusted(n, seed, data):
+    # Z/n is generated by 1 and 1*1 = 1, so (ab)c == a(bc) holds on the
+    # generators; random other products break it elsewhere
+    add = zmod(n).add
+    mul = np.random.default_rng(seed).integers(0, n, size=(n, n))
+    mul[1, 1] = 1
+    assert additive_generators(add, 0) == [1]
+    expected = reference_table_violation(add, mul, 0)
+    assume(expected == "multiplication is not associative")
+    with _slice_rows(data, n), pytest.raises(ValidationError) as info:
+        FiniteRing("random", add, mul, zero=0)
+    assert str(info.value) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4)]), st.integers(0, 2**32 - 1), st.data())
+def test_bilinear_product_is_checked_on_generator_triples(shape, seed, data):
+    # a random bilinear product on (Z/p)^d distributes by construction, so
+    # only the generator triples of the last check can see it fail to associate
+    p, d = shape
+    const = np.random.default_rng(seed).integers(0, p, size=(d, d, d))
+    const *= np.random.default_rng(seed + 1).random((d, d, 1)) < 0.5
+    vecs = np.array(list(np.ndindex(*(p,) * d)))
+    weights = p ** np.arange(d)[::-1]
+    add = ((vecs[:, None] + vecs[None]) % p) @ weights
+    mul = (np.einsum("xa,yb,abc->xyc", vecs, vecs, const) % p) @ weights
+    perm = data.draw(st.permutations(range(p**d)))
+    add, mul, zero = relabel_tables(add, mul, 0, perm)
+    expected = reference_table_violation(add, mul, zero)
+    assert expected in (None, "multiplication is not associative")
+    with _slice_rows(data, p**d):
+        if expected is None:
+            FiniteRing("bilinear", add, mul, zero=zero)
+        else:
+            with pytest.raises(ValidationError) as info:
+                FiniteRing("bilinear", add, mul, zero=zero)
+            assert str(info.value) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 20), st.data())
+def test_first_failing_law_is_named_when_two_fail(half, data):
+    # x * y = 2x on Z/n, n odd: right distributive, but neither associative
+    # nor left distributive; the generator checks see the left law fail first
+    n = 2 * half + 1
+    idx = np.arange(n)
+    mul = np.broadcast_to((2 * idx % n)[:, None], (n, n))
+    perm = data.draw(st.permutations(range(n)))
+    add, mul, zero = relabel_tables(zmod(n).add, mul, 0, perm)
+    expected = reference_table_violation(add, mul, zero)
+    assert expected == "multiplication is not associative"
+    with _slice_rows(data, n), pytest.raises(ValidationError) as info:
+        FiniteRing("doubling", add, mul, zero=zero)
+    assert str(info.value) == expected
+
+
+def test_generator_check_that_contradicts_the_laws_is_an_internal_error():
+    ring = zmod(12)
+    with mock.patch.object(finite, "additive_generators", return_value=None):
+        with pytest.raises(InternalInvariantError):
+            FiniteRing("Z12", ring.add, ring.mul)
 
 
 def test_nilpotency_index_stops_at_fixpoint():

@@ -16,13 +16,16 @@ RSS is the rung process's own maximum.  A rung that outlives ``--timeout``
 is killed and recorded as a timeout.
 
 One line per rung goes to standard output, then one JSON object with every
-rung.  The exit code is 1 when a rung timed out or failed, else 0.
+rung.  The exit code is 1 when a rung timed out or failed, else 0.  When the
+reader of standard output goes away (``| head``), the ladder stops quietly
+with exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import time
@@ -119,4 +122,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except BrokenPipeError:
+        # stdout's reader is gone: point stdout at devnull, so that the flush
+        # at exit cannot fail again, and stop without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
