@@ -18,6 +18,18 @@ gcd per operation, and both sides of ``(e_i e_j) e_k = e_i (e_j e_k)``
 carry the same factor ``D^2``, so comparing the integer sums is exact.
 Products build each output ``Fraction`` once, over the common denominator.
 
+The check tests the law modulo primes p with ``n p^2 < 2^62`` (``n`` the
+dimension), so that a sum of ``n`` products of residues fits in int64.
+With ``M`` the largest absolute integer constant, every associator entry is
+an integer of absolute value at most ``2 n M^2``; primes are added until
+their product exceeds that bound, and an entry that every one of them
+divides is then 0 (the Chinese remainder theorem; von zur Gathen and
+Gerhard, *Modern Computer Algebra*, ch. 5).  Per prime, both sides are two
+numpy int64 matrix products over the pairs with a product, in slices of
+the first index, and they are compared wherever either side has an entry.
+When a prime sees a nonzero associator, the triple loop runs from (0, 0, 0)
+and names the first failing triple.
+
 The regular representation is read from the same table.
 :meth:`AlgebraPresentation.operator` gives the integer rows of ``L_x``
 (``v -> x v``) or ``R_x`` (``v -> v x``) over one scale ``dx * D``, walking
@@ -35,8 +47,9 @@ its right-hand side with its rows.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -76,6 +89,41 @@ def _sparse_to_dense(sparse: SparseVec, n: int) -> tuple:
     for k, x in sparse:
         out[k] = x
     return tuple(out)
+
+
+SLICE_ENTRIES = 1 << 13  # product entries per slice of the associativity check
+_WORD_PRIMES: Dict[int, List[int]] = {}  # dim -> the primes of word_primes found so far
+
+
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin to the bases 2, 7, 61, exact for p < 4,759,123,141."""
+    if p < 2 or any(p % q == 0 for q in (2, 7, 61)):
+        return p in (2, 7, 61)
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s with d odd
+    for a in (2, 7, 61):
+        x = pow(a, (p - 1) >> s, p)
+        if x != 1 and all(pow(x, 1 << r, p) != p - 1 for r in range(s)):
+            return False
+    return True
+
+
+def word_primes(n: int, bound: int) -> List[int]:
+    """The largest primes p with n * p**2 < 2**62, descending, until their
+    product exceeds ``bound``: a sum of n products of residues mod p then fits
+    in int64, and an integer below the product in absolute value that every
+    prime divides is 0."""
+    known = _WORD_PRIMES.setdefault(n, [])
+    primes, product = [], 1
+    while product <= bound:
+        if len(primes) == len(known):
+            p = known[-1] if known else isqrt(((1 << 62) - 1) // n) + 1
+            p -= 1
+            while not _is_prime(p):
+                p -= 1
+            known.append(p)
+        primes.append(known[len(primes)])
+        product *= primes[-1]
+    return primes
 
 
 class AlgebraPresentation:
@@ -150,6 +198,95 @@ class AlgebraPresentation:
                     )
 
     def _check_associativity(self):
+        """(e_i e_j) e_k == e_i (e_j e_k) for every triple, decided modulo
+        primes; a failure runs ``_first_violation``, which names the triple."""
+        if not self._associates_mod_primes():
+            self._first_violation()
+            raise InternalInvariantError("an associator is nonzero modulo a prime but zero")
+
+    def _associates_mod_primes(self) -> bool:
+        """Both sides of the law as two integer products per prime, compared on
+        the union of their supports.
+
+        With C[i, j, t] the integer table and P the pairs (i, j) with a product,
+        lhs[(i, j), (k, t)] = sum_m C[i, j, m] C[m, k, t] over rows (i, j) in P,
+        and rhs[(j, k), (i, t)] = sum_m C[j, k, m] C[i, m, t] over rows (j, k)
+        in P; the columns are those where some constant is nonzero.  Every
+        associator entry is lhs - rhs at matching positions, where a position
+        outside both products is 0 on both sides.
+        """
+        # imported on first use: numpy imported before the rest of the package
+        # is compiled from source leaves the process about 1.5 MB larger
+        import numpy as np
+
+        n = self.dim
+        entries = [(i * n + j, k, c) for (i, j), sparse in self._int_table.items() for k, c in sparse]
+        if not entries:
+            return True
+        ij, t, values = zip(*entries)
+        ij, t = np.array(ij, dtype=np.int64), np.array(t, dtype=np.int64)
+        i, j = np.divmod(ij, n)
+
+        def index(keys):
+            """The distinct keys in order, and the position of every key in
+            range(n * n) among them (their number where absent)."""
+            present = np.zeros(n * n, dtype=bool)
+            present[keys] = True
+            found = np.flatnonzero(present)
+            position = np.full(n * n, len(found))
+            position[found] = np.arange(len(found))
+            return found, position
+
+        # P, the columns (k, t) of lhs and the columns (i, t) of rhs
+        pairs, row_of = index(ij)
+        lcols, lcol_of = index(j * n + t)
+        rcols, rcol_of = index(i * n + t)
+        row, lcol, rcol = row_of[ij], lcol_of[j * n + t], rcol_of[i * n + t]
+        pi, pj = np.divmod(pairs, n)
+        lk, lt = np.divmod(lcols, n)
+        ri, rt = np.divmod(rcols, n)
+        # slices of i, each with at most about SLICE_ENTRIES entries in its
+        # lhs rows (i, j) and rhs columns (i, t)
+        pair_keys, rcol_keys = pairs.tolist(), rcols.tolist()
+        cost = [0] * n
+        for key in pair_keys:
+            cost[key // n] += len(lcols) + 1
+        for key in rcol_keys:
+            cost[key // n] += len(pairs) + 1
+        bounds, size = [0], 0
+        for x in range(n):
+            if size and size + cost[x] > SLICE_ENTRIES:
+                bounds.append(x)
+                size = 0
+            size += cost[x]
+        bounds.append(n)
+        big = max(abs(c) for c in values)
+        for p in word_primes(n, 2 * n * big * big):
+            c = np.array([v % p for v in values], dtype=np.int64)
+            # the last row of cp and the last columns of b and d are zero:
+            # a position that holds no entry reads them
+            cp = np.zeros((len(pairs) + 1, n), dtype=np.int64)
+            b = np.zeros((n, len(lcols) + 1), dtype=np.int64)
+            d = np.zeros((n, len(rcols) + 1), dtype=np.int64)
+            cp[row, t], b[i, lcol], d[j, rcol] = c, c, c
+            for start, stop in zip(bounds, bounds[1:]):
+                lo, hi = (bisect_left(pair_keys, at * n) for at in (start, stop))
+                clo, chi = (bisect_left(rcol_keys, at * n) for at in (start, stop))
+                lhs = cp[np.append(np.arange(lo, hi), len(pairs))] @ b
+                rhs = cp @ d[:, np.append(np.arange(clo, chi), len(rcols))]
+                # the flat position of each lhs entry in rhs (row (j, k), column
+                # (i, t)), and of each rhs entry in lhs (row (i, j), column (k, t))
+                to_rhs = row_of[pj[lo:hi, None] * n + lk] * (chi - clo + 1) + (
+                    np.minimum(rcol_of[pi[lo:hi, None] * n + lt], chi) - clo)
+                to_lhs = (np.minimum(row_of[ri[clo:chi] * n + pi[:, None]], hi) - lo) * (
+                    len(lcols) + 1) + lcol_of[pj[:, None] * n + rt[clo:chi]]
+                if ((lhs[:-1, :-1] - rhs.take(to_rhs)) % p).any() or (
+                        (rhs[:-1, :-1] - lhs.take(to_lhs)) % p).any():
+                    return False
+        return True
+
+    def _first_violation(self):
+        """Raises ``AssociativityError`` for the first failing (i, j, k)."""
         n, table = self.dim, self._int_table
         # both sides vanish for every k when e_i e_m = 0 for all m, or when
         # e_i e_j = 0 and e_j e_m = 0 for all m: such an i or (i, j) is skipped

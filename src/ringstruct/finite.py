@@ -10,10 +10,11 @@ arithmetic over slices of the first index, so a check holds O(order^2) memory
 per slice, never a full order^3 array.  The structure
 record (unity, idempotents, units, zero divisors, nil and reduced flags, the
 nilpotency index) comes from numpy boolean reductions over the tables.  The
-radical and the ideal lattice (``jacobson_definitional``, ``subset_closure``,
-``all_ideals``, ``largest_nilpotent_ideal``) stay brute force by design,
-since they serve as the independent oracle against the exact-linear-algebra
-engine.  Exhaustive routines are capped at order 256.
+radical (``jacobson_definitional``) is the quasi-regularity formula decided
+for every element, in O(order^2) lookups, and the ideal lattice
+(``subset_closure``, ``all_ideals``, ``largest_nilpotent_ideal``) stays brute
+force by design: both serve as the independent oracle against the
+exact-linear-algebra engine.  Exhaustive routines are capped at order 256.
 """
 
 from __future__ import annotations
@@ -196,43 +197,37 @@ class FiniteRing:
 
 
 def jacobson_definitional(ring: FiniteRing) -> FrozenSet[int]:
-    """Brute-force the quasi-regularity formula.
+    """The quasi-regularity formula, by exhaustion.
 
-    J = { a : for every r there is b with b r a - r a - b = 0 }, evaluated
-    by exhausting all (a, r, b) triples; the result is verified to be a
-    two-sided ideal.
+    J = { a : for every r there is b with b r a - r a - b = 0 }.  Whether some
+    b has b x - x - b = 0 depends on x = r a alone, so it is decided once per
+    element x, and a is in J when it holds at every product r a: O(order^2)
+    table lookups.  The result is verified to be a two-sided ideal.
     """
-    n = ring.order
     mul, add, neg = ring.mul, ring.add, ring._neg
-    members = []
-    b_idx = np.arange(n)
-    for a in range(n):
-        ra = mul[:, a]  # r -> r*a
-        # bra[b, r] = b * (r*a)
-        bra = mul[:, ra]
-        expr = add[add[bra, neg[ra][None, :]], neg[b_idx][:, None]]
-        if np.all((expr == ring.zero).any(axis=0)):
-            members.append(a)
-    result = frozenset(members)
+    # [b, x] -> b x - x - b
+    expr = add[add[mul, neg[None, :]], neg[:, None]]
+    quasi_regular = (expr == ring.zero).any(axis=0)
+    result = frozenset(np.flatnonzero(quasi_regular[mul].all(axis=0)).tolist())
     if not is_ideal(ring, result):
         raise ValidationError("definitional radical is not an ideal; tables are inconsistent")
     return result
 
 
-def is_subgroup(ring: FiniteRing, subset: FrozenSet[int]) -> bool:
-    if ring.zero not in subset:
-        return False
-    return all(int(ring.add[x, y]) in subset for x in subset for y in subset)
-
-
 def is_ideal(ring: FiniteRing, subset: FrozenSet[int]) -> bool:
-    if not is_subgroup(ring, subset):
+    """Whether ``subset`` contains zero and is closed under + and under
+    products with every element on either side."""
+    if not all(0 <= x < ring.order for x in subset):
         return False
-    for x in subset:
-        for r in ring.elements():
-            if int(ring.mul[x, r]) not in subset or int(ring.mul[r, x]) not in subset:
-                return False
-    return True
+    inside = np.zeros(ring.order, dtype=bool)
+    inside[list(subset)] = True
+    members = np.flatnonzero(inside)
+    return bool(
+        inside[ring.zero]
+        and inside[ring.add[np.ix_(members, members)]].all()
+        and inside[ring.mul[members]].all()
+        and inside[ring.mul[:, members]].all()
+    )
 
 
 def subset_closure(ring: FiniteRing, seed: Set[int]) -> FrozenSet[int]:

@@ -376,6 +376,35 @@ def reference_structure(ring):
     }
 
 
+def reference_jacobson_definitional(ring):
+    """J = { a : for every r there is b with b r a - r a - b = 0 }, over
+    every (a, r, b) triple."""
+    n = ring.order
+    mul, add, neg = ring.mul, ring.add, ring._neg
+    members = []
+    b_idx = np.arange(n)
+    for a in range(n):
+        ra = mul[:, a]  # r -> r*a
+        # bra[b, r] = b * (r*a)
+        bra = mul[:, ra]
+        expr = add[add[bra, neg[ra][None, :]], neg[b_idx][:, None]]
+        if np.all((expr == ring.zero).any(axis=0)):
+            members.append(a)
+    return frozenset(members)
+
+
+def reference_is_ideal(ring, subset):
+    """Contains zero, closed under + and under products on both sides, by loops."""
+    if ring.zero not in subset:
+        return False
+    if any(int(ring.add[x, y]) not in subset for x in subset for y in subset):
+        return False
+    return all(
+        int(ring.mul[x, r]) in subset and int(ring.mul[r, x]) in subset
+        for x in subset for r in range(ring.order)
+    )
+
+
 def relabel_tables(add, mul, zero, perm):
     """The same finite ring with each element x renamed ``perm[x]``."""
     perm = np.asarray(perm, dtype=np.int64)

@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction as F
+from math import isqrt
+from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
+from ringstruct import algebra
 from ringstruct.algebra import (
     AlgebraPresentation,
     ElementClassification,
@@ -16,9 +20,15 @@ from ringstruct.algebra import (
     find_unity,
     generated_subring,
     power_span,
+    word_primes,
 )
 from ringstruct.documents import to_object
-from ringstruct.errors import AssociativityError, MismatchedAlgebras, ValidationError
+from ringstruct.errors import (
+    AssociativityError,
+    InternalInvariantError,
+    MismatchedAlgebras,
+    ValidationError,
+)
 from ringstruct.generators import (
     annihilator_gap,
     direct_sum,
@@ -419,6 +429,88 @@ def test_associativity_violation_after_skipped_rows_is_found():
     with pytest.raises(AssociativityError) as info:
         AlgebraPresentation("late", n, constants)
     assert info.value.triple == (1, 1, 3)
+
+
+def _max_constant(constants):
+    raw = AlgebraPresentation("raw", len(next(iter(constants.values()))), constants,
+                              _validate=False)
+    return max(abs(c) for sparse in raw._int_table.values() for _, c in sparse)
+
+
+def test_word_primes_are_the_largest_primes_inside_the_int64_bound():
+    for n in (1, 2, 3, 9, 36, 300):
+        primes = word_primes(n, 1 << 200)
+        assert primes[0] == sympy.prevprime(isqrt(((1 << 62) - 1) // n) + 1)
+        assert all(sympy.isprime(p) and n * p * p < 1 << 62 for p in primes)
+        assert primes == sorted(set(primes), reverse=True)
+        assert sympy.prod(primes[:-1]) <= 1 << 200 < sympy.prod(primes)
+
+
+def test_associator_that_is_a_multiple_of_the_first_prime_is_found():
+    # e2 e2 = e1 and e2 e1 = p e0: the one nonzero associator entry is
+    # (e2 e2) e2 - e2 (e2 e2) = -p e0, which the first prime p divides
+    n = 3
+    p = word_primes(n, 1)[0]
+    constants = {(2, 2): [0, 1, 0], (2, 1): [p, 0, 0]}
+    assert len(word_primes(n, 2 * n * _max_constant(constants) ** 2)) >= 2
+    raw = AlgebraPresentation("raw", n, constants, _validate=False)
+    assert reference_associativity_violation(raw.sparse_table(), n) == (2, 2, 2)
+    with pytest.raises(AssociativityError) as info:
+        AlgebraPresentation("multiple-of-p", n, constants)
+    assert info.value.triple == (2, 2, 2)
+
+
+def test_associative_table_with_large_constants_needs_several_primes():
+    # M2 in the basis f_a = s_a u_a, u unimodular and s_a near 2**30: the
+    # constants s_a s_b / s_k c_abk carry 2**30-sized numerators and denominators
+    base = to_object(matrix_algebra(2))
+    n = base.dim
+    rng = random.Random(3)
+    unimodular = mat_mul(
+        [[F(1) if i == j else (F(rng.choice((-1, 0, 1))) if i > j else F(0)) for j in range(n)]
+         for i in range(n)],
+        [[F(1) if i == j else (F(rng.choice((-1, 0, 1))) if i < j else F(0)) for j in range(n)]
+         for i in range(n)],
+    )
+    scales = [2**30 + 3, 2**30 - 35, 2**30 + 7, 2**30 - 5]
+    basis = [[scales[a] * x for x in unimodular[a]] for a in range(n)]
+    constants = _rebase(base.sparse_table(), n, basis)
+    assert len(word_primes(n, 2 * n * _max_constant(constants) ** 2)) >= 2
+    alg = AlgebraPresentation("M2-scaled", n, constants)
+    assert reference_associativity_violation(alg.sparse_table(), n) is None
+
+
+def test_associator_at_a_pair_without_product_is_found():
+    # e1 e1 = 0, so the row (1, 1) of (e_i e_j) e_k holds nothing, yet
+    # e1 (e1 e0) = e1 e0 = e0 and e1 (e1 e2) = e1 e2 = e2
+    n, constants = 3, {(0, 1): [0, 0, F(3, 2)], (1, 0): [1, 0, 0], (1, 2): [0, 0, 1]}
+    raw = AlgebraPresentation("raw", n, constants, _validate=False)
+    assert (1, 1) not in raw.sparse_table()
+    assert reference_associativity_violation(raw.sparse_table(), n) == (1, 1, 0)
+    with pytest.raises(AssociativityError) as info:
+        AlgebraPresentation("empty-pair", n, constants)
+    assert info.value.triple == (1, 1, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_tables(), st.integers(0, 2**40), st.sampled_from([1, 50, 1 << 13]))
+def test_scaled_tables_match_fraction_reference_over_slices(case, scale, slice_entries):
+    # the same tables in the basis 2**30 e_0, .., 2**30 + n - 1 + scale e_(n-1):
+    # several primes, and slices of a few rows when the patch is small
+    n, constants = case
+    factors = [F(2**30 + a + (scale if a == n - 1 else 0)) for a in range(n)]
+    scaled = {
+        (a, b): [c * factors[a] * factors[b] / factors[k] for k, c in enumerate(coords)]
+        for (a, b), coords in constants.items()
+    }
+    with mock.patch.object(algebra, "SLICE_ENTRIES", slice_entries):
+        _assert_same_verdict(n, scaled)
+
+
+def test_modular_failure_that_the_loop_does_not_confirm_is_an_internal_error(m2):
+    with mock.patch.object(AlgebraPresentation, "_associates_mod_primes", return_value=False):
+        with pytest.raises(InternalInvariantError):
+            AlgebraPresentation("M2", m2.dim, {p: m2.basis_product(*p) for p in m2.sparse_table()})
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ringstruct import finite
+from ringstruct.documents import to_object
 from ringstruct.errors import InternalInvariantError, InvalidParams, ValidationError
 from ringstruct.finite import (
     FiniteRing,
@@ -13,15 +15,20 @@ from ringstruct.finite import (
     all_ideals,
     finite_product,
     finite_structure,
+    is_ideal,
     jacobson_definitional,
     largest_nilpotent_ideal,
     matrix_ring_zp,
     ring_nilpotency_index,
     strictly_upper_zp,
+    subset_closure,
     zmod,
 )
+from ringstruct.generators import generate
 
 from oracles import (
+    reference_is_ideal,
+    reference_jacobson_definitional,
     reference_nilpotency_index,
     reference_structure,
     reference_table_violation,
@@ -339,3 +346,75 @@ def test_validation_memory_is_quadratic_in_the_order():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@st.composite
+def polynomial_quotient_rings(draw):
+    """Z/m[x]/(x^d - f(x)) for a random f of degree below d, relabelled: random
+    commutative tables, with a radical when m is not square-free or f(0) is
+    not a unit."""
+    m, d = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2),
+                                 (4, 3), (6, 2), (8, 2)]))
+    f = draw(st.lists(st.integers(0, m - 1), min_size=d, max_size=d))
+    elems = list(itertools.product(range(m), repeat=d))
+    index = {e: k for k, e in enumerate(elems)}
+
+    def times(a, b):
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        for k in range(2 * d - 2, d - 1, -1):  # x^k = x^(k-d) f(x)
+            c, prod[k] = prod[k], 0
+            for i, y in enumerate(f):
+                prod[k - d + i] += c * y
+        return index[tuple(v % m for v in prod[:d])]
+
+    add = [[index[tuple((x + y) % m for x, y in zip(a, b))] for b in elems] for a in elems]
+    mul = [[times(a, b) for b in elems] for a in elems]
+    perm = draw(st.permutations(range(len(elems))))
+    return relabel_tables(add, mul, index[(0,) * d], perm)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(relabelled_rings(), polynomial_quotient_rings()))
+def test_jacobson_matches_the_triple_loop(tables):
+    add, mul, zero = tables
+    ring = FiniteRing("random", add, mul, zero=zero)
+    assert jacobson_definitional(ring) == reference_jacobson_definitional(ring)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("zn", {"n": "64"}), ("zn", {"n": "72"}), ("mat-zp", {"n": "2", "p": "3"}),
+    ("t-zp", {"n": "3", "p": "5"}), ("zn-product", {"n1": "8", "n2": "16"}),
+])
+def test_jacobson_matches_the_triple_loop_on_the_families(family, params):
+    ring = to_object(generate(family, params))
+    assert jacobson_definitional(ring) == reference_jacobson_definitional(ring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(relabelled_rings(), polynomial_quotient_rings()), st.data())
+def test_ideal_check_matches_the_loops(tables, data):
+    add, mul, zero = tables
+    ring = FiniteRing("random", add, mul, zero=zero)
+    elements = st.integers(0, ring.order - 1)
+    seed = data.draw(st.sets(elements, max_size=3))
+    closed = subset_closure(ring, seed)
+    other = subset_closure(ring, {data.draw(elements)})
+    x = data.draw(elements)
+
+    def sums(subset):
+        total = {zero} | set(subset)
+        while len(total) < len(total | {int(add[a, b]) for a in total for b in total}):
+            total |= {int(add[a, b]) for a in total for b in total}
+        return frozenset(total)
+
+    # a closure is an ideal, and dropping or adding one element rarely leaves
+    # one; R x and x R are one-sided ideals, and a union of two ideals is
+    # closed under products but rarely under +
+    subsets = [closed, frozenset(seed), frozenset(seed | {zero}), frozenset(),
+               closed - {x}, closed | {x}, sums(ring.mul[:, x]), sums(ring.mul[x]), closed | other]
+    for subset in subsets:
+        assert is_ideal(ring, subset) == reference_is_ideal(ring, subset), sorted(subset)
+    assert is_ideal(ring, closed)

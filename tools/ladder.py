@@ -49,7 +49,8 @@ RUNGS = {
 # rungs that take seconds, not minutes: a regression to the old cliffs times out
 QUICK = [
     "m4:classify", "m5:classify", "m6:classify", "m4~rebased:classify",
-    "m5~rebased:classify", "utd6~rebased:classify", "utd6~rebased:radical",
+    "m5~rebased:classify", "m6~rebased:classify", "utd6~rebased:classify",
+    "utd6~rebased:radical",
 ]
 
 
