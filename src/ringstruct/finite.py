@@ -11,15 +11,18 @@ per slice, never a full order^3 array.  The structure
 record (unity, idempotents, units, zero divisors, nil and reduced flags, the
 nilpotency index) comes from numpy boolean reductions over the tables.  The
 radical (``jacobson_definitional``) is the quasi-regularity formula decided
-for every element, in O(order^2) lookups, and the ideal lattice
-(``subset_closure``, ``all_ideals``, ``largest_nilpotent_ideal``) stays brute
-force by design: both serve as the independent oracle against the
-exact-linear-algebra engine.  Exhaustive routines are capped at order 256.
+for every element, in O(order^2) lookups.  The ideal lattice (``all_ideals``,
+``largest_nilpotent_ideal``) is enumerated exhaustively: each principal ideal
+is a fixpoint over a boolean mask (``subset_closure``), and ideals are joined
+by their sums, which are ideals already.  Nilpotency of the ring and of an
+ideal is one descent (``ring_nilpotency_index``).  Neither the radical nor the
+lattice uses the exact-linear-algebra engine, so both serve as its independent
+oracle.  Exhaustive routines are capped at order 256, the lattice at 64.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence, Set
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -231,78 +234,56 @@ def is_ideal(ring: FiniteRing, subset: FrozenSet[int]) -> bool:
 
 
 def subset_closure(ring: FiniteRing, seed: Set[int]) -> FrozenSet[int]:
-    """Smallest ideal containing the seed."""
-    current = set(seed) | {ring.zero}
-    frontier = list(current)
-    while frontier:
-        x = frontier.pop()
-        new = set()
-        for y in current:
-            new.add(int(ring.add[x, y]))
-        new.add(ring.neg(x))
-        for r in ring.elements():
-            new.add(int(ring.mul[x, r]))
-            new.add(int(ring.mul[r, x]))
-        for z in new:
-            if z not in current:
-                current.add(z)
-                frontier.append(z)
-    # another pass to close sums of everything (cheap at these orders)
-    changed = True
-    while changed:
-        changed = False
-        for x in list(current):
-            for y in list(current):
-                s = int(ring.add[x, y])
-                if s not in current:
-                    current.add(s)
-                    changed = True
-    return frozenset(current)
+    """Smallest ideal containing the seed.
+
+    Each round adds the products of the members with every element on either
+    side and the sums of two members, until a round adds nothing.  A finite
+    set that contains zero and is closed under + is a subgroup, so negatives
+    come for free.
+    """
+    inside = np.zeros(ring.order, dtype=bool)
+    inside[[ring.zero, *seed]] = True
+    while True:
+        members = np.flatnonzero(inside)
+        inside[ring.mul[members]] = True
+        inside[ring.mul[:, members]] = True
+        inside[ring.add[np.ix_(members, members)]] = True
+        if np.count_nonzero(inside) == members.size:
+            return frozenset(members.tolist())
+
+
+def _ideal_sum(ring: FiniteRing, a: FrozenSet[int], b: FrozenSet[int]) -> FrozenSet[int]:
+    """I + J for ideals I and J: the sums x + y, an ideal again."""
+    return frozenset(np.unique(ring.add[np.ix_(list(a), list(b))]).tolist())
 
 
 def all_ideals(ring: FiniteRing) -> List[FrozenSet[int]]:
-    """Every ideal, as the join-closure of the principal ideals."""
+    """Every ideal, as a sum of principal ideals.
+
+    Each round adds one principal ideal to each ideal found in the round
+    before; an ideal is the sum of the principal ideals of its elements, so
+    the rounds reach all of them.
+    """
     if ring.order > IDEAL_ENUM_CAP:
         raise InvalidParams(f"ideal enumeration capped at order {IDEAL_ENUM_CAP}")
     principals = {subset_closure(ring, {x}) for x in ring.elements()}
     ideals = set(principals)
-    ideals.add(frozenset({ring.zero}))
-    changed = True
-    while changed:
-        changed = False
-        current = list(ideals)
-        for a in current:
-            for b in principals:
-                joined = subset_closure(ring, set(a) | set(b))
-                if joined not in ideals:
-                    ideals.add(joined)
-                    changed = True
+    frontier = principals
+    while frontier:
+        frontier = {_ideal_sum(ring, a, b) for a in frontier for b in principals} - ideals
+        ideals |= frontier
     return sorted(ideals, key=lambda s: (len(s), sorted(s)))
-
-
-def subset_is_nilpotent(ring: FiniteRing, subset: FrozenSet[int]) -> bool:
-    current = set(subset)
-    for _ in range(ring.order + 1):
-        if current == {ring.zero}:
-            return True
-        nxt = {int(ring.mul[x, y]) for x in subset for y in current}
-        nxt.add(ring.zero)
-        if nxt == current:
-            return False
-        current = nxt
-    return current == {ring.zero}
 
 
 def largest_nilpotent_ideal(ring: FiniteRing) -> FrozenSet[int]:
     """Sum of all nilpotent ideals, by exhaustive ideal enumeration."""
-    total: Set[int] = {ring.zero}
+    total = frozenset({ring.zero})
     for ideal in all_ideals(ring):
-        if subset_is_nilpotent(ring, ideal):
-            total |= set(ideal)
-    result = subset_closure(ring, total)
-    if not subset_is_nilpotent(ring, result):
+        if ring_nilpotency_index(ring, ideal) is not None:
+            total = _ideal_sum(ring, total, ideal)
+    if ring_nilpotency_index(ring, total) is None:
         raise ValidationError("sum of nilpotent ideals failed nilpotency")
-    return result
+    return total
 
 
 # -- exhaustive structure record ----------------------------------------------
@@ -328,18 +309,20 @@ class FiniteStructure:
             setattr(self, k, kw[k])
 
 
-def ring_nilpotency_index(ring: FiniteRing) -> Optional[int]:
-    """Least k with all k-fold products zero, or None.
+def ring_nilpotency_index(ring: FiniteRing, subset: Optional[Iterable[int]] = None) -> Optional[int]:
+    """Least k with all k-fold products of elements of ``subset`` (by default
+    the whole ring) zero, or None.
 
-    The sets S_1 = R, S_(k+1) = R S_k + {0} only shrink, so once a step
-    leaves S_k unchanged it never reaches {0}.
+    The sets S_1 = S, S_(k+1) = S S_k + {0} only shrink when S is an ideal,
+    and once a step leaves S_k unchanged it never reaches {0}.
     """
     zero = ring.zero
-    current = np.arange(ring.order)
+    factors = np.arange(ring.order) if subset is None else np.array(sorted(subset), dtype=np.int64)
+    current = factors
     for k in range(1, ring.order + 2):
         if current.size == 1 and current[0] == zero:
             return k
-        nxt = np.union1d(ring.mul[:, current], [zero])
+        nxt = np.union1d(ring.mul[np.ix_(factors, current)], [zero])
         if np.array_equal(nxt, current):
             return None
         current = nxt

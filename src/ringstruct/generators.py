@@ -31,11 +31,10 @@ def _unit(n: int, k: int) -> list:
     return v
 
 
-def strictly_upper(n: int, label: str = "K1") -> AlgebraDocument:
-    """T_n: strictly upper triangular n x n matrices; nilpotent of index n."""
-    if n < 2:
-        raise InvalidParams("strictly_upper requires n >= 2")
-    slots = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+def _matrix_units(name: str, n: int, keep, label: str) -> AlgebraDocument:
+    """The span of the matrix units E_ab (1 <= a, b <= n) with keep(a, b),
+    under E_ab E_bd = E_ad; the kept slots must be closed under that product."""
+    slots = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if keep(a, b)]
     pos = {s: k for k, s in enumerate(slots)}
     dim = len(slots)
     constants = {}
@@ -44,39 +43,28 @@ def strictly_upper(n: int, label: str = "K1") -> AlgebraDocument:
             if b == c:
                 constants[(i, j)] = _unit(dim, pos[(a, d)])
     names = [f"E{a}{b}" for a, b in slots]
-    return algebra_document(f"T{n}", dim, constants, labels=[label] * dim, basis_names=names)
+    return algebra_document(name, dim, constants, labels=[label] * dim, basis_names=names)
+
+
+def strictly_upper(n: int, label: str = "K1") -> AlgebraDocument:
+    """T_n: strictly upper triangular n x n matrices; nilpotent of index n."""
+    if n < 2:
+        raise InvalidParams("strictly_upper requires n >= 2")
+    return _matrix_units(f"T{n}", n, lambda a, b: a < b, label)
 
 
 def matrix_algebra(n: int, label: str = "K1") -> AlgebraDocument:
     """M_n: the full matrix algebra, simple of dimension n^2."""
     if n < 1:
         raise InvalidParams("matrix_algebra requires n >= 1")
-    slots = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    pos = {s: k for k, s in enumerate(slots)}
-    dim = len(slots)
-    constants = {}
-    for (a, b), i in pos.items():
-        for (c, d), j in pos.items():
-            if b == c:
-                constants[(i, j)] = _unit(dim, pos[(a, d)])
-    names = [f"E{a}{b}" for a, b in slots]
-    return algebra_document(f"M{n}", dim, constants, labels=[label] * dim, basis_names=names)
+    return _matrix_units(f"M{n}", n, lambda a, b: True, label)
 
 
 def upper_triangular(n: int, label: str = "K1") -> AlgebraDocument:
     """Upper triangular matrices with diagonal; radical is the strict part."""
     if n < 1:
         raise InvalidParams("upper_triangular requires n >= 1")
-    slots = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    pos = {s: k for k, s in enumerate(slots)}
-    dim = len(slots)
-    constants = {}
-    for (a, b), i in pos.items():
-        for (c, d), j in pos.items():
-            if b == c:
-                constants[(i, j)] = _unit(dim, pos[(a, d)])
-    names = [f"E{a}{b}" for a, b in slots]
-    return algebra_document(f"UT{n}", dim, constants, labels=[label] * dim, basis_names=names)
+    return _matrix_units(f"UT{n}", n, lambda a, b: a <= b, label)
 
 
 def quaternion(a: int = -1, b: int = -1, label: str = "K1") -> AlgebraDocument:

@@ -188,6 +188,15 @@ def mixed_multiply(x: MixedElement, y: MixedElement) -> MixedElement:
     return MixedElement(r, f, v, t)
 
 
+def _probes(ring: MixedRing) -> List[MixedElement]:
+    """Every element of the finite part, then every basis vector of the
+    algebra part: with the torsion, which annihilates everything, they
+    generate the ring additively."""
+    F, dim = ring.finite_part, ring.algebra_part.dim
+    basis = [ring.element(F.zero, [int(i == k) for k in range(dim)]) for i in range(dim)]
+    return [ring.element(f) for f in F.elements()] + basis
+
+
 def torsion_ideal(ring: MixedRing, n: int) -> List[MixedElement]:
     """All elements killed by n: finite n-torsion + (1/n)-grid torsion coordinates.
 
@@ -206,21 +215,14 @@ def torsion_ideal(ring: MixedRing, n: int) -> List[MixedElement]:
             members.append(ring.element(f, [0] * ring.algebra_part.dim, list(t)))
     member_set = {m.as_tuple() for m in members}
     # ideal check: products against finite and algebra generators stay inside
-    probes = [ring.element(f) for f in F.elements()]
-    for i in range(ring.algebra_part.dim):
-        coords = [0] * ring.algebra_part.dim
-        coords[i] = 1
-        probes.append(ring.element(F.zero, coords))
+    probes = _probes(ring)
     for m in members:
         for p in probes:
             for prod in (mixed_multiply(m, p), mixed_multiply(p, m)):
                 if prod.as_tuple() not in member_set:
                     raise ValidationError("n-torsion subset failed the ideal check")
     for m in members:
-        for i in range(ring.algebra_part.dim):
-            coords = [0] * ring.algebra_part.dim
-            coords[i] = 1
-            p = ring.element(F.zero, coords)
+        for p in probes[F.order:]:
             if not mixed_multiply(m, p).is_zero() or not mixed_multiply(p, m).is_zero():
                 raise ValidationError("n-torsion fails to annihilate the connected part")
     return members
@@ -250,10 +252,7 @@ def finite_connected_split(ring: MixedRing) -> Optional[FiniteConnectedSplit]:
     F = ring.finite_part
     f_unity = F.unity()
     v_unity = find_unity(ring.algebra_part) if ring.algebra_part.dim > 0 else None
-    if ring.algebra_part.dim == 0:
-        v_ok = True
-    else:
-        v_ok = v_unity is not None
+    v_ok = ring.algebra_part.dim == 0 or v_unity is not None
     if f_unity is None or not v_ok or ring.torsion_rank > 0:
         return None
     if any(any(x != 0 for x in row) for row in ring.cross.values()):
@@ -264,12 +263,7 @@ def finite_connected_split(ring: MixedRing) -> Optional[FiniteConnectedSplit]:
         [],
     )
     # verify the unity and componentwise multiplication on generators
-    probes = [ring.element(f) for f in F.elements()]
-    for i in range(ring.algebra_part.dim):
-        coords = [0] * ring.algebra_part.dim
-        coords[i] = 1
-        probes.append(ring.element(F.zero, coords))
-    for p in probes:
+    for p in _probes(ring):
         if mixed_multiply(unity, p) != p or mixed_multiply(p, unity) != p:
             return None
     n_torsion = torsion_ideal(ring, F.order)

@@ -17,7 +17,7 @@ from typing import List
 
 from .algebra import AlgebraPresentation
 from .errors import DimensionMismatch, DocumentError, InternalInvariantError
-from .finite import FiniteRing, subset_is_nilpotent, is_ideal
+from .finite import FiniteRing, is_ideal, ring_nilpotency_index
 from .linalg import Subspace, is_zero_vec, parse_rat, unit_vec
 
 
@@ -403,7 +403,7 @@ def verify_oracle_report(ring: FiniteRing, report: dict):
     n, mul, zero = ring.order, ring.mul, ring.zero
     idx = np.arange(n)
     j = frozenset(verdict["jacobson"])
-    if not is_ideal(ring, j) or not subset_is_nilpotent(ring, j):
+    if not is_ideal(ring, j) or ring_nilpotency_index(ring, j) is None:
         _fail("reported radical is not a nilpotent ideal")
     power = idx  # x^(n+1) = 0 for a nilpotent x: its nonzero powers are distinct
     for _ in range(n):

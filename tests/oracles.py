@@ -7,13 +7,15 @@ presentations are rebuilt by solving coordinates against the matrix basis.
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 import numpy as np
 from hypothesis import strategies as st
 
 from ringstruct.algebra import AlgebraPresentation, product_span
 from ringstruct.documents import AlgebraDocument, algebra_document, to_object
+from ringstruct.errors import InvalidParams
+from ringstruct.finite import IDEAL_ENUM_CAP, FiniteRing
 from ringstruct.generators import (
     annihilator_gap,
     base_field,
@@ -403,6 +405,77 @@ def reference_is_ideal(ring, subset):
         int(ring.mul[x, r]) in subset and int(ring.mul[r, x]) in subset
         for x in subset for r in range(ring.order)
     )
+
+
+# The ideal lattice of a finite ring by Python sets: the closure and join
+# loops that the mask closure and ideal sums replaced.
+
+
+def reference_subset_closure(ring: FiniteRing, seed: Set[int]) -> FrozenSet[int]:
+    """Smallest ideal containing the seed, element by element, then a second
+    pass over all sums."""
+    current = set(seed) | {ring.zero}
+    frontier = list(current)
+    while frontier:
+        x = frontier.pop()
+        new = set()
+        for y in current:
+            new.add(int(ring.add[x, y]))
+        new.add(ring.neg(x))
+        for r in ring.elements():
+            new.add(int(ring.mul[x, r]))
+            new.add(int(ring.mul[r, x]))
+        for z in new:
+            if z not in current:
+                current.add(z)
+                frontier.append(z)
+    # another pass to close sums of everything (cheap at these orders)
+    changed = True
+    while changed:
+        changed = False
+        for x in list(current):
+            for y in list(current):
+                s = int(ring.add[x, y])
+                if s not in current:
+                    current.add(s)
+                    changed = True
+    return frozenset(current)
+
+
+def reference_all_ideals(ring: FiniteRing) -> List[FrozenSet[int]]:
+    """Every ideal, as the join-closure of the principal ideals, each join
+    closed again."""
+    if ring.order > IDEAL_ENUM_CAP:
+        raise InvalidParams(f"ideal enumeration capped at order {IDEAL_ENUM_CAP}")
+    principals = {reference_subset_closure(ring, {x}) for x in ring.elements()}
+    ideals = set(principals)
+    ideals.add(frozenset({ring.zero}))
+    changed = True
+    while changed:
+        changed = False
+        current = list(ideals)
+        for a in current:
+            for b in principals:
+                joined = reference_subset_closure(ring, set(a) | set(b))
+                if joined not in ideals:
+                    ideals.add(joined)
+                    changed = True
+    return sorted(ideals, key=lambda s: (len(s), sorted(s)))
+
+
+def reference_subset_is_nilpotent(ring: FiniteRing, subset: FrozenSet[int]) -> bool:
+    """Whether the products of k elements of ``subset`` vanish for some k, by
+    sets of products."""
+    current = set(subset)
+    for _ in range(ring.order + 1):
+        if current == {ring.zero}:
+            return True
+        nxt = {int(ring.mul[x, y]) for x in subset for y in current}
+        nxt.add(ring.zero)
+        if nxt == current:
+            return False
+        current = nxt
+    return current == {ring.zero}
 
 
 def relabel_tables(add, mul, zero, perm):

@@ -27,10 +27,13 @@ from ringstruct.finite import (
 from ringstruct.generators import generate
 
 from oracles import (
+    reference_all_ideals,
     reference_is_ideal,
     reference_jacobson_definitional,
     reference_nilpotency_index,
     reference_structure,
+    reference_subset_closure,
+    reference_subset_is_nilpotent,
     reference_table_violation,
     relabel_tables,
 )
@@ -418,3 +421,36 @@ def test_ideal_check_matches_the_loops(tables, data):
     for subset in subsets:
         assert is_ideal(ring, subset) == reference_is_ideal(ring, subset), sorted(subset)
     assert is_ideal(ring, closed)
+
+
+def _assert_lattice_matches_the_set_loops(ring):
+    ideals = all_ideals(ring)
+    assert ideals == reference_all_ideals(ring)
+    for x in ring.elements():
+        assert subset_closure(ring, {x}) == reference_subset_closure(ring, {x}), x
+    nilpotent = [ideal for ideal in ideals if reference_subset_is_nilpotent(ring, ideal)]
+    for ideal in ideals:
+        assert (ring_nilpotency_index(ring, ideal) is not None) == (ideal in nilpotent), sorted(ideal)
+    assert largest_nilpotent_ideal(ring) == reference_subset_closure(ring, set().union(*nilpotent))
+    return ideals
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(relabelled_rings(), polynomial_quotient_rings()))
+def test_ideal_lattice_matches_the_set_loops(tables):
+    add, mul, zero = tables
+    _assert_lattice_matches_the_set_loops(FiniteRing("random", add, mul, zero=zero))
+
+
+def _null_ring_on_z2_4():
+    idx = np.arange(16)
+    return FiniteRing("null(Z2^4)", idx[:, None] ^ idx[None, :], np.zeros((16, 16), dtype=np.int64))
+
+
+@pytest.mark.parametrize("build, count", [
+    (_null_ring_on_z2_4, 67),  # the subspaces of F_2^4
+    (lambda: to_object(generate("t-zp", {"n": "4", "p": "2"})), 25),
+    (lambda: to_object(generate("zn-product", {"n1": "8", "n2": "8"})), 16),
+], ids=["null-z2^4", "t-zp-4-2", "zn-product-8x8"])
+def test_ideal_lattice_matches_the_set_loops_on_fixed_rings(build, count):
+    assert len(_assert_lattice_matches_the_set_loops(build())) == count

@@ -44,13 +44,15 @@ RUNGS = {
         ("utd7~rebased", "utd", {"n": 7}, True, "radical"),
         ("null300", "null", {"n": 300}, False, "radical"),
         ("null300", "null", {"n": 300}, False, "classify"),
+        ("t4zp2", "t-zp", {"n": 4, "p": 2}, False, "oracle"),
+        ("zn256", "zn", {"n": 256}, False, "oracle"),
     ]
 }
 # rungs that take seconds, not minutes: a regression to the old cliffs times out
 QUICK = [
     "m4:classify", "m5:classify", "m6:classify", "m4~rebased:classify",
     "m5~rebased:classify", "m6~rebased:classify", "utd6~rebased:classify",
-    "utd6~rebased:radical",
+    "utd6~rebased:radical", "t4zp2:oracle", "zn256:oracle",
 ]
 
 
